@@ -153,21 +153,20 @@ def pump(
     x_sym = owl.suffix_of_choice_witness(c_prev, c_next)
     block = OwlString.make(h, [x_sym]) + theta  # the pumped unit x.theta
 
-    a_states = exits.traversal_map(m, theta, LR).exit_states
-    b_states = exits.traversal_map(m, theta, RL).exit_states
     al = exits.alpha(m, theta, block)
     be = exits.beta(m, theta + OwlString.make(h, [x_sym]), theta)
-    if not exits.is_permutation(al, a_states):
+    # The domains of alpha and beta are the LR and RL exit sets of theta.
+    if not exits.is_permutation(al, al.domain):
         return NotFound(
             "alpha is not a permutation of the LR exit set",
-            {"t": t, "exit_size": len(a_states), "image_size": len(al.image)},
+            {"t": t, "exit_size": len(al.domain), "image_size": len(al.image)},
         )
-    if not exits.is_permutation(be, b_states):
+    if not exits.is_permutation(be, be.domain):
         return NotFound(
             "beta is not a permutation of the RL exit set",
-            {"t": t, "exit_size": len(b_states), "image_size": len(be.image)},
+            {"t": t, "exit_size": len(be.domain), "image_size": len(be.image)},
         )
-    t_star = exits.permutation_order(al, a_states) * exits.permutation_order(be, b_states)
+    t_star = exits.permutation_order(al, al.domain) * exits.permutation_order(be, be.domain)
 
     u, v, _swapped = owl.separation_context(c_prev, c_next)
     ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])

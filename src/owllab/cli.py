@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -30,12 +31,10 @@ class CliError(Exception):
 def load_machine(spec: str, height: int | None) -> Tdfa:
     """A machine file path, or a builtin name: accept_all[:h], subset:h,
     broken:h:cap."""
-    import os
-
     if os.path.exists(spec):
         try:
             m = Tdfa.load(spec)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot load machine {spec!r}: {exc}")
     else:
         parts = spec.split(":")
@@ -63,18 +62,16 @@ def load_string(path: str) -> OwlString:
     try:
         with open(path) as f:
             return OwlString.from_json(json.load(f))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load input string {path!r}: {exc}")
 
 
-def _emit(report: dict, args, stream=None) -> None:
-    if stream is None:
-        stream = sys.stdout
+def _emit(report: dict, args) -> None:
     if args.format == "pretty":
-        _pretty(report, stream)
+        _pretty(report, sys.stdout)
     else:
-        json.dump(report, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
 
 
 def _pretty(obj, stream, indent=0) -> None:
@@ -221,11 +218,17 @@ def cmd_fuzz(args) -> tuple[int, dict]:
     return code, res.to_json()
 
 
+def count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="owl", description=__doc__)
     p.add_argument("--format", choices=["json", "pretty"], default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel work items; output order is deterministic regardless")
     p.add_argument("--no-timing", action="store_true", help="omit timing for byte-identical reruns")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
@@ -260,26 +263,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--conn", type=int, help="chain index of the target connectivity")
     sp.add_argument("--matrix", help="text matrix file with the target connectivity")
     sp.add_argument("--side", choices=["lr", "rl"], default="lr")
-    sp.add_argument("--max-ext-len", type=int, default=1)
-    sp.add_argument("--max-rounds", type=int, default=None)
+    sp.add_argument("--max-ext-len", type=count, default=1)
+    sp.add_argument("--max-rounds", type=count, default=None)
     sp.set_defaults(func=cmd_generic)
 
     sp = sub.add_parser("chain", help="exit-size chain along all properties")
     machine_opts(sp)
-    sp.add_argument("--max-ext-len", type=int, default=1)
+    sp.add_argument("--max-ext-len", type=count, default=1)
     sp.set_defaults(func=cmd_chain)
 
     sp = sub.add_parser("pump", help="pumping attack at one chain step")
     machine_opts(sp)
     sp.add_argument("--index", type=int, required=True, help="chain step t >= 1")
-    sp.add_argument("--max-ext-len", type=int, default=1)
+    sp.add_argument("--max-ext-len", type=count, default=1)
     sp.set_defaults(func=cmd_pump)
 
     sp = sub.add_parser("fuzz", help="differential test against the liveness oracle")
     machine_opts(sp)
-    sp.add_argument("--max-len", type=int, default=4)
+    sp.add_argument("--max-len", type=count, default=4)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=count, default=1000)
     sp.set_defaults(func=cmd_fuzz)
 
     return p
@@ -291,10 +294,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, result = args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(result, str):  # raw text matrix output

@@ -25,8 +25,6 @@ RL = "RL"
 class TraversalMap:
     """Per-state outcomes of left (LR) or right (RL) computations on a string."""
 
-    machine: Tdfa
-    y: OwlString
     side: str
     outcomes: dict[str, Computation]
 
@@ -45,7 +43,7 @@ def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
         raise ValueError(f"bad side {side!r}")
     runner = tdfa.lcomp if side == LR else tdfa.rcomp
     outcomes = {p: runner(m, p, y) for p in m.states}
-    return TraversalMap(m, y, side, outcomes)
+    return TraversalMap(side, outcomes)
 
 
 def exit_size(m: Tdfa, y: OwlString, side: str) -> int:

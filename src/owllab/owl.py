@@ -103,13 +103,20 @@ class OwlString:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OwlString":
-        h = obj["h"]
+        if not (isinstance(obj, dict) and isinstance(obj.get("symbols"), list)):
+            raise ValueError("string JSON must be an object with 'h' and a 'symbols' list")
+        h = obj.get("h")
+        matrix._check_h(h)
         syms = []
         for entry in obj["symbols"]:
             if isinstance(entry, str):  # compact hex form
                 syms.append(OwlSymbol.from_hex(h, entry))
+            elif isinstance(entry, list) and all(
+                isinstance(p, list) and [type(x) for x in p] == [int, int] for p in entry
+            ):
+                syms.append(OwlSymbol.make(h, entry))
             else:
-                syms.append(OwlSymbol.make(h, [(p[0], p[1]) for p in entry]))
+                raise ValueError(f"symbol {entry!r} is neither a hex mask nor a list of [i, j] edges")
         return cls(h, tuple(syms))
 
     def dumps(self) -> str:

@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .owl import OwlString, OwlSymbol, empty_symbol, full_symbol, identity_symbol, symbol_matrix
+from .matrix import _check_h
+from .owl import OwlString, OwlSymbol, empty_symbol, full_symbol, identity_symbol
 
 LEND = "LEND"
 REND = "REND"
@@ -26,9 +27,6 @@ LOOP = "loop"
 ACCEPT = "accept"
 REJECT = "reject"
 
-# Full traces are kept only for runs at most this many steps long.
-DEFAULT_TRACE_LIMIT = 10**5
-
 
 @dataclass(frozen=True)
 class Computation:
@@ -37,13 +35,7 @@ class Computation:
     outcome: str  # HIT_LEFT | HIT_RIGHT | LOOP
     state: Optional[str]  # exit state; None when looping
     steps: int
-    trace: Optional[tuple[tuple[str, int], ...]] = None
-
-    def hits_right(self) -> bool:
-        return self.outcome == HIT_RIGHT
-
-    def hits_left(self) -> bool:
-        return self.outcome == HIT_LEFT
+    trace: Optional[tuple[tuple[str, int], ...]] = None  # set only by run_on_tape
 
 
 class Tdfa:
@@ -106,15 +98,25 @@ class Tdfa:
 
     @classmethod
     def from_json(cls, obj: dict, name: str = "tdfa") -> "Tdfa":
+        if not isinstance(obj, dict):
+            raise ValueError("machine JSON must be an object")
         for field in ("h", "states", "start", "accept", "reject", "delta"):
             if field not in obj:
                 raise ValueError(f"machine JSON missing field {field!r}")
-        table = {
-            q: {k: (v[0], v[1]) for k, v in entries.items()}
-            for q, entries in obj["delta"].items()
-        }
+        _check_h(obj["h"])
+        delta = obj["delta"]
+        if not (isinstance(delta, dict) and all(isinstance(e, dict) for e in delta.values())):
+            raise ValueError("machine delta must map each state to an object of rules")
+        rules = [v for entries in delta.values() for v in entries.values()]
+        if not all(isinstance(v, list) and len(v) == 2 for v in rules):
+            raise ValueError("every delta rule must be a [state, direction] pair")
+        states = obj["states"]
+        names = [obj["start"], obj["accept"], obj["reject"], *(x for v in rules for x in v)]
+        if not (isinstance(states, list) and all(isinstance(q, str) for q in states + names)):
+            raise ValueError("machine states, start/accept/reject and rule entries must be strings")
+        table = {q: {k: tuple(v) for k, v in entries.items()} for q, entries in delta.items()}
         return cls(
-            states=obj["states"],
+            states=states,
             h=obj["h"],
             start=obj["start"],
             accept=obj["accept"],
@@ -199,60 +201,55 @@ def validate(m: Tdfa) -> list[str]:
     return errs
 
 
-def _simulate(m, tape, state, pos, lo, hi, trace_limit):
+def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
     """Run until the head leaves [lo, hi]; positions index `tape` 1-based.
 
     Exceeding the pigeonhole budget |Q| * len(tape) + 1 means some
-    configuration repeated, i.e. the run loops.
+    configuration repeated, i.e. the run loops. The trace holds every
+    configuration if there are at most trace_limit of them, else it is None.
     """
     budget = len(m.states) * len(tape) + 1 if tape else 1
-    trace = [(state, pos)]
+    trace = [(state, pos)] if trace_limit > 0 else None
     steps = 0
     while lo <= pos <= hi:
         if steps >= budget:
-            return Computation(LOOP, None, steps, _clip(trace, trace_limit))
+            return Computation(LOOP, None, steps, trace and tuple(trace))
         state, d = m.step(state, tape[pos - 1])
         pos += 1 if d == "R" else -1
         steps += 1
-        if len(trace) <= trace_limit:
+        if trace is not None:
             trace.append((state, pos))
+            if len(trace) > trace_limit:
+                trace = None
     outcome = HIT_LEFT if pos < lo else HIT_RIGHT
-    return Computation(outcome, state, steps, _clip(trace, trace_limit))
+    return Computation(outcome, state, steps, trace and tuple(trace))
 
 
-def _clip(trace, limit):
-    return tuple(trace) if len(trace) <= limit else None
-
-
-def comp(m: Tdfa, p: str, j: int, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> Computation:
+def comp(m: Tdfa, p: str, j: int, z: OwlString) -> Computation:
     """Deterministic run on bare z from state p at position j (1-based)."""
     n = len(z)
     if j == 0:
-        return Computation(HIT_LEFT, p, 0, ((p, 0),))
+        return Computation(HIT_LEFT, p, 0)
     if j == n + 1:
-        return Computation(HIT_RIGHT, p, 0, ((p, n + 1),))
+        return Computation(HIT_RIGHT, p, 0)
     if not 1 <= j <= n:
         raise ValueError(f"start position {j} out of range for |z|={n}")
-    return _simulate(m, z.symbols, p, j, 1, n, trace_limit)
+    return _simulate(m, z.symbols, p, j, 1, n)
 
 
-def lcomp(m: Tdfa, p: str, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> Computation:
+def lcomp(m: Tdfa, p: str, z: OwlString) -> Computation:
     """Left computation: enter z at its first symbol. Empty z exits right."""
-    if not len(z):
-        return Computation(HIT_RIGHT, p, 0, ((p, 1),))
-    return comp(m, p, 1, z, trace_limit)
+    return comp(m, p, 1, z)
 
 
-def rcomp(m: Tdfa, p: str, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> Computation:
+def rcomp(m: Tdfa, p: str, z: OwlString) -> Computation:
     """Right computation: enter z at its last symbol. Empty z exits left."""
-    if not len(z):
-        return Computation(HIT_LEFT, p, 0, ((p, 0),))
-    return comp(m, p, len(z), z, trace_limit)
+    return comp(m, p, len(z), z)
 
 
-def decide(m: Tdfa, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> str:
+def decide(m: Tdfa, z: OwlString) -> str:
     """Accept/reject/loop verdict of the full endmarked run."""
-    res = run_on_tape(m, z, trace_limit)
+    res = run_on_tape(m, z, trace_limit=0)
     if res.outcome == HIT_RIGHT and res.state == m.accept:
         return ACCEPT
     if res.outcome == HIT_RIGHT and res.state == m.reject:
@@ -260,7 +257,7 @@ def decide(m: Tdfa, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> str
     return LOOP
 
 
-def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = DEFAULT_TRACE_LIMIT) -> Computation:
+def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = 10**5) -> Computation:
     """Full run on LEND z REND from the start state; positions 1..|z|+2 on the tape."""
     tape = (LEND,) + z.symbols + (REND,)
     return _simulate(m, tape, m.start, 1, 1, len(tape), trace_limit)

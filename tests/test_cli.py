@@ -206,6 +206,44 @@ def test_invalid_machine_file_rejected(capsys, tmp_path):
     assert "cannot load machine" in err
 
 
+MALFORMED_FILES = {
+    "symbols_not_list.json": '{"h": 2, "symbols": 5}',
+    "top_level_list.json": "[1, 2]",
+    "delta_not_object.json": json.dumps({
+        "h": 2, "states": ["go", "accept", "reject"], "start": "go",
+        "accept": "accept", "reject": "reject", "delta": 5,
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run --machine subset:2 --input {dir}/symbols_not_list.json",
+        "run --machine subset:2 --input {dir}/top_level_list.json",
+        "run --machine {dir}/delta_not_object.json --input {dir}/empty.json",
+        "fuzz --machine subset:2 --samples -5",
+        "fuzz --machine subset:2 --max-len -1",
+        "generic --machine subset:2 --conn 1 --max-ext-len -1",
+        "generic --machine subset:2 --conn 1 --max-rounds -1",
+        "chain --machine subset:2 --max-ext-len -1",
+        "pump --machine subset:2 --index 1 --max-ext-len -1",
+    ],
+)
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
+    for name, text in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(text)
+    write_string(tmp_path, OwlString.make(2), "empty.json")
+    try:
+        code = cli.main(argv.format(dir=tmp_path).split())
+    except SystemExit as exc:  # argparse rejects bad option values this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    assert "Traceback" not in err
+
+
 def test_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")
     _, out2, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")

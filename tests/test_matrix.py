@@ -246,3 +246,14 @@ def test_row_hex_round_trip():
         m = random_matrix(rng, h)
         assert BoolMatrix.from_row_hex(h, m.row_hex()) == m
         assert all(len(s) == (h + 3) // 4 for s in m.row_hex())
+
+
+def test_multiply_memo_is_invisible():
+    rng = random.Random(9)
+    for h in (1, 5, 64):
+        a, b = random_matrix(rng, h), random_matrix(rng, h)
+        multiply(a, b)
+        fresh = BoolMatrix(h, b.rows)
+        assert b == fresh
+        assert hash(b) == hash(fresh)
+        assert repr(b) == repr(fresh)

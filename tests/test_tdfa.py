@@ -157,6 +157,41 @@ def test_trace_records_configurations():
     assert res.trace[-1] == (ACCEPT, 4)
 
 
+def test_trace_kept_up_to_limit():
+    m = build_accept_all(2)
+    z = OwlString.make(2, [identity_symbol(2)] * 3)
+    configs = len(z) + 3  # LEND, each symbol and REND, plus the final fall-off
+    full = run_on_tape(m, z, trace_limit=configs)
+    assert len(full.trace) == configs
+    assert full.trace[-1] == (ACCEPT, configs)
+    assert run_on_tape(m, z, trace_limit=configs - 1).trace is None
+    assert run_on_tape(m, z, trace_limit=0).trace is None
+
+
+def test_bare_computations_record_no_trace():
+    m = pingpong_machine()
+    z = OwlString.make(2, [identity_symbol(2)] * 3)
+    runs = [comp(m, "p", j, z) for j in range(len(z) + 2)]
+    runs += [lcomp(m, "p", z), rcomp(m, "q", z)]
+    runs += [lcomp(m, "p", OwlString.make(2)), rcomp(m, "p", OwlString.make(2))]
+    assert LOOP in {c.outcome for c in runs}
+    assert [c.trace for c in runs] == [None] * len(runs)
+
+
+def test_decide_records_no_trace(monkeypatch):
+    seen = []
+    real = tdfa.run_on_tape
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(tdfa, "run_on_tape", spy)
+    m = build_accept_all(2)
+    assert decide(m, OwlString.make(2, [identity_symbol(2)])) == ACCEPT
+    assert [c.trace for c in seen] == [None]
+
+
 def test_loop_detection_on_bare_string():
     m = pingpong_machine()
     z = OwlString.make(2, [identity_symbol(2)] * 3)
