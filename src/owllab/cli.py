@@ -28,30 +28,33 @@ class CliError(Exception):
     pass
 
 
+_BUILTIN_FORMS = {("accept_all", 1), ("accept_all", 2), ("subset", 2), ("broken", 3)}
+
+
 def load_machine(spec: str, height: int | None) -> Tdfa:
-    """A machine file path, or a builtin name: accept_all[:h], subset:h,
-    broken:h:cap."""
-    if os.path.exists(spec):
+    """A builtin name (accept_all[:h], subset:h, broken:h:cap) or a machine
+    file path. Builtin names win: a file named `subset:3` is `./subset:3`."""
+    parts = spec.split(":")
+    if (parts[0], len(parts)) in _BUILTIN_FORMS:
+        try:
+            if parts[0] == "accept_all":
+                h = int(parts[1]) if len(parts) == 2 else height
+                if h is None:
+                    raise CliError("accept_all needs --height or accept_all:h")
+                m = tdfa.build_accept_all(h)
+            elif parts[0] == "subset":
+                m = tdfa.build_subset_solver(int(parts[1]))
+            else:
+                m = tdfa.build_broken_solver(int(parts[1]), int(parts[2]))
+        except ValueError as exc:
+            raise CliError(f"bad machine spec {spec!r}: {exc}")
+    elif os.path.exists(spec):
         try:
             m = Tdfa.load(spec)
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot load machine {spec!r}: {exc}")
     else:
-        parts = spec.split(":")
-        try:
-            if parts[0] == "accept_all" and len(parts) <= 2:
-                h = int(parts[1]) if len(parts) == 2 else height
-                if h is None:
-                    raise CliError("accept_all needs --height or accept_all:h")
-                m = tdfa.build_accept_all(h)
-            elif parts[0] == "subset" and len(parts) == 2:
-                m = tdfa.build_subset_solver(int(parts[1]))
-            elif parts[0] == "broken" and len(parts) == 3:
-                m = tdfa.build_broken_solver(int(parts[1]), int(parts[2]))
-            else:
-                raise CliError(f"unknown machine {spec!r} (not a file or builtin name)")
-        except ValueError as exc:
-            raise CliError(f"bad machine spec {spec!r}: {exc}")
+        raise CliError(f"unknown machine {spec!r} (not a file or builtin name)")
     violations = tdfa.validate(m)
     if violations:
         raise CliError(f"machine {spec!r} is invalid: " + "; ".join(violations))
@@ -225,12 +228,34 @@ def count(text: str) -> int:
     return n
 
 
+def _global_flags(defaults: bool) -> argparse.ArgumentParser:
+    """--format, --seed and --no-timing, for use as a parent parser.
+
+    The subcommands' copy (defaults=False) sets nothing unless given, so a
+    flag may come before or after the subcommand.
+    """
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
+    g = argparse.ArgumentParser(add_help=False)
+    g.add_argument("--format", choices=["json", "pretty"], default=default("json"))
+    g.add_argument("--seed", type=int, default=default(0))
+    g.add_argument(
+        "--no-timing",
+        action="store_true",
+        default=default(False),
+        help="omit timing for byte-identical reruns",
+    )
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="owl", description=__doc__)
-    p.add_argument("--format", choices=["json", "pretty"], default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-timing", action="store_true", help="omit timing for byte-identical reruns")
+    p = argparse.ArgumentParser(prog="owl", description=__doc__, parents=[_global_flags(True)])
     sub = p.add_subparsers(dest="subcommand", required=True)
+    after = _global_flags(False)
+
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[after], **kwargs)
 
     def machine_opts(sp, need_input=False):
         sp.add_argument("--machine", required=True, help="machine JSON file or builtin name")
@@ -238,27 +263,27 @@ def build_parser() -> argparse.ArgumentParser:
         if need_input:
             sp.add_argument("--input", required=True, help="input string JSON file")
 
-    sp = sub.add_parser("seq", help="emit chain matrices")
+    sp = add_parser("seq", help="emit chain matrices")
     sp.add_argument("--height", type=int, required=True)
     sp.add_argument("--index", type=int, help="emit a single matrix as text")
     sp.add_argument("--kind", choices=["c", "e", "eprime", "d", "dprime"], default="c")
     sp.set_defaults(func=cmd_seq)
 
-    sp = sub.add_parser("verify-seq", help="machine-check every chain identity")
+    sp = add_parser("verify-seq", help="machine-check every chain identity")
     sp.add_argument("--height", type=int, required=True)
     sp.set_defaults(func=cmd_verify_seq)
 
-    sp = sub.add_parser("run", help="decide one input")
+    sp = add_parser("run", help="decide one input")
     machine_opts(sp, need_input=True)
     sp.add_argument("--trace", action="store_true")
     sp.set_defaults(func=cmd_run)
 
-    sp = sub.add_parser("exits", help="per-state traversal outcomes and exit set")
+    sp = add_parser("exits", help="per-state traversal outcomes and exit set")
     machine_opts(sp, need_input=True)
     sp.add_argument("--side", choices=["lr", "rl"], default="lr")
     sp.set_defaults(func=cmd_exits)
 
-    sp = sub.add_parser("generic", help="bounded genericity descent")
+    sp = add_parser("generic", help="bounded genericity descent")
     machine_opts(sp)
     sp.add_argument("--conn", type=int, help="chain index of the target connectivity")
     sp.add_argument("--matrix", help="text matrix file with the target connectivity")
@@ -267,18 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rounds", type=count, default=None)
     sp.set_defaults(func=cmd_generic)
 
-    sp = sub.add_parser("chain", help="exit-size chain along all properties")
+    sp = add_parser("chain", help="exit-size chain along all properties")
     machine_opts(sp)
     sp.add_argument("--max-ext-len", type=count, default=1)
     sp.set_defaults(func=cmd_chain)
 
-    sp = sub.add_parser("pump", help="pumping attack at one chain step")
+    sp = add_parser("pump", help="pumping attack at one chain step")
     machine_opts(sp)
     sp.add_argument("--index", type=int, required=True, help="chain step t >= 1")
     sp.add_argument("--max-ext-len", type=count, default=1)
     sp.set_defaults(func=cmd_pump)
 
-    sp = sub.add_parser("fuzz", help="differential test against the liveness oracle")
+    sp = add_parser("fuzz", help="differential test against the liveness oracle")
     machine_opts(sp)
     sp.add_argument("--max-len", type=count, default=4)
     sp.add_argument("--exhaustive", action="store_true")

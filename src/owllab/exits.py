@@ -176,17 +176,35 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(sorted(syms, key=OwlSymbol.sort_key))
 
 
-def _extensions(generators, max_ext_len: int, h: int):
-    """Extension words by length, then lexicographically in canonical order."""
+def _extensions(
+    generators, max_ext_len: int, left: BoolMatrix, right: BoolMatrix, target: BoolMatrix
+):
+    """In-property extension words: those e with left * C(e) * right == target,
+    by length, then lexicographically in canonical order.
+
+    The test sees a word only through its prefix product left * C(prefix)
+    and the bucket C(g) * right of its last letter g, so it is settled once
+    per distinct prefix product, against the distinct buckets, rather than
+    once per word.
+    """
+    h = target.h
     gens = sorted(generators, key=OwlSymbol.sort_key)
-    frontier = [()]
-    for _ in range(max_ext_len):
+    mats = [owl.symbol_matrix(g) for g in gens]
+    bucket_of = [matrix.multiply(c, right) for c in mats]
+    buckets = set(bucket_of)
+    last_letters = {}  # prefix product -> the generators that end an in-property word
+    frontier = [((), left)]
+    for length in range(1, max_ext_len + 1):
         nxt = []
-        for word in frontier:
-            for g in gens:
-                grown = word + (g,)
-                nxt.append(grown)
-                yield OwlString.make(h, grown)
+        for word, prod in frontier:
+            ok = last_letters.get(prod)
+            if ok is None:
+                hits = {b for b in buckets if matrix.multiply(prod, b) == target}
+                ok = last_letters[prod] = [g for g, b in zip(gens, bucket_of) if b in hits]
+            for g in ok:
+                yield OwlString.make(h, word + (g,))
+            if length < max_ext_len:
+                nxt.extend((word + (g,), matrix.multiply(prod, c)) for g, c in zip(gens, mats))
         frontier = nxt
 
 
@@ -220,14 +238,13 @@ def descend_generic(
     size = exit_size(m, y, side)
     history = [size]
     rounds = 0
+    # y stays in the property, so an extension e keeps it there exactly when
+    # target * C(e) == target (LR) or C(e) * target == target (RL).
+    ident = matrix.identity(h)
+    left, right = (target, ident) if side == LR else (ident, target)
     while rounds < max_rounds and size > 0:
-        cy = owl.connectivity(y)
         improved = False
-        for ext in _extensions(generators, max_ext_len, h):
-            ce = owl.connectivity(ext)
-            conn = matrix.multiply(cy, ce) if side == LR else matrix.multiply(ce, cy)
-            if conn != target:
-                continue
+        for ext in _extensions(generators, max_ext_len, left, right, target):
             cand = y + ext if side == LR else ext + y
             cand_size = exit_size(m, cand, side)
             if cand_size < size:

@@ -248,13 +248,23 @@ def rcomp(m: Tdfa, p: str, z: OwlString) -> Computation:
 
 
 def decide(m: Tdfa, z: OwlString) -> str:
-    """Accept/reject/loop verdict of the full endmarked run."""
+    """Accept/reject/loop verdict of the full endmarked run.
+
+    Any other end, off the left endmarker or right into a state that is
+    neither accept nor reject, breaks the endmarker discipline that
+    `validate` checks and raises ValueError.
+    """
     res = run_on_tape(m, z, trace_limit=0)
     if res.outcome == HIT_RIGHT and res.state == m.accept:
         return ACCEPT
     if res.outcome == HIT_RIGHT and res.state == m.reject:
         return REJECT
-    return LOOP
+    if res.outcome == LOOP:
+        return LOOP
+    raise ValueError(
+        f"run of {m.name!r} ends by {res.outcome} in state {res.state!r}, "
+        "not by a right exit into accept or reject"
+    )
 
 
 def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = 10**5) -> Computation:

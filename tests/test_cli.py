@@ -271,3 +271,30 @@ def test_config_echoed(capsys):
     assert blob["config"]["seed"] == 3
     assert blob["config"]["height"] == 2
     assert blob["version"]
+
+
+def test_global_flags_after_the_subcommand(capsys):
+    fuzz = ["fuzz", "--machine", "subset:2", "--samples", "5"]
+    flags = ["--no-timing", "--seed", "3", "--format", "pretty"]
+    code_before, out_before, _ = run_cli(capsys, *flags, *fuzz)
+    code_after, out_after, _ = run_cli(capsys, *fuzz, *flags)
+    assert code_before == code_after == 0
+    assert out_before == out_after
+    assert "seed: 3" in out_before and "timing_s" not in out_before
+
+
+def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):
+    table = {
+        q: {"LEND": ["s", "R"], "REND": ["accept", "R"], "default": ["s", "R"]}
+        for q in ("s", "accept", "reject")
+    }
+    blob = {
+        "h": 1, "states": ["s", "accept", "reject"], "start": "s",
+        "accept": "accept", "reject": "reject", "delta": table,
+    }
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "subset:3").write_text(json.dumps(blob))
+    builtin = cli.load_machine("subset:3", None)
+    assert builtin.h == 3 and builtin.table is None
+    from_file = cli.load_machine("./subset:3", None)
+    assert from_file.h == 1 and from_file.table is not None

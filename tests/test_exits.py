@@ -1,10 +1,11 @@
 """Unit tests for exit sets, the alpha/beta maps, and the genericity descent."""
 
+import itertools
 import random
 
 import pytest
 
-from owllab import exits, owl, sequence, tdfa
+from owllab import exits, matrix, owl, sequence, tdfa
 from owllab.exits import (
     LR,
     RL,
@@ -18,6 +19,7 @@ from owllab.exits import (
     permutation_order,
     traversal_map,
 )
+from owllab.matrix import BoolMatrix
 from owllab.owl import OwlString, OwlSymbol, identity_symbol
 
 
@@ -188,3 +190,76 @@ def test_certificate_json_shape():
     assert blob["side"] == LR
     assert blob["size_history"] == [1]
     assert blob["target"] == ["1", "2"]
+
+
+def brute_force_extensions(generators, max_ext_len, target, side):
+    """Every word up to max_ext_len, by length then canonical order, kept
+    when a fresh owl.connectivity keeps the target's property."""
+    gens = sorted(generators, key=OwlSymbol.sort_key)
+    h = target.h
+    out = []
+    for n in range(1, max_ext_len + 1):
+        for word in itertools.product(gens, repeat=n):
+            ce = owl.connectivity(OwlString.make(h, word))
+            conn = matrix.multiply(target, ce) if side == LR else matrix.multiply(ce, target)
+            if conn == target:
+                out.append(OwlString.make(h, word))
+    return out
+
+
+def filtered_extensions(generators, max_ext_len, target, side):
+    ident = matrix.identity(target.h)
+    left, right = (target, ident) if side == LR else (ident, target)
+    return list(exits._extensions(generators, max_ext_len, left, right, target))
+
+
+def assert_filter_matches(generators, max_ext_len, target):
+    for side in (LR, RL):
+        want = brute_force_extensions(generators, max_ext_len, target, side)
+        assert filtered_extensions(generators, max_ext_len, target, side) == want
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_extensions_match_brute_force_h2(t):
+    assert_filter_matches(owl.all_symbols(2), 3, sequence.build_sequence(2)[t])
+
+
+@pytest.mark.parametrize("t", range(7))
+def test_extensions_match_brute_force_h3_length_1(t):
+    assert_filter_matches(owl.all_symbols(3), 1, sequence.build_sequence(3)[t])
+
+
+def test_extensions_match_brute_force_non_idempotent_target():
+    target = BoolMatrix.from_cells(2, [(1, 2)])
+    assert not matrix.is_idempotent(target)
+    assert_filter_matches(owl.all_symbols(2), 3, target)
+    shift = BoolMatrix.from_cells(3, [(1, 2), (2, 3), (3, 3)])
+    assert not matrix.is_idempotent(shift)
+    assert_filter_matches(owl.all_symbols(3), 1, shift)
+
+
+def test_extensions_keep_duplicate_generators():
+    ident, full = owl.identity_symbol(2), owl.full_symbol(2)
+    gens = (full, ident, OwlSymbol.make(2, [(1, 2)]), ident, owl.empty_symbol(2))
+    for t in range(4):
+        target = sequence.build_sequence(2)[t]
+        assert_filter_matches(gens, 3, target)
+    words = filtered_extensions(gens, 1, sequence.build_sequence(2)[0], LR)
+    assert words.count(OwlString.make(2, [ident])) == 2
+
+
+def test_extensions_of_length_zero_are_none():
+    target = sequence.build_sequence(2)[1]
+    for side in (LR, RL):
+        assert filtered_extensions(owl.all_symbols(2), 0, target, side) == []
+
+
+@pytest.mark.parametrize(
+    "side, history, symbols",
+    [(LR, (4, 3), ["137", "05f", "074"]), (RL, (0,), ["137"])],
+)
+def test_descend_generic_pinned_h3(side, history, symbols):
+    m = tdfa.build_broken_solver(3, 2)
+    cert = descend_generic(m, sequence.build_sequence(3)[3], max_ext_len=2, side=side)
+    assert cert.size_history == history
+    assert [s.to_hex() for s in cert.y.symbols] == symbols

@@ -315,3 +315,26 @@ def test_table_lookup_uses_hex_keys_and_default():
     m = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
     assert m.step("s", ident) == (REJECT, "R")
     assert m.step("s", owl.empty_symbol(1)) == ("s", "R")
+
+
+def test_decide_rejects_left_fall_off():
+    table = {
+        q: {"LEND": ["a", "L"], "REND": [ACCEPT, "R"], "default": ["a", "R"]}
+        for q in ("a", ACCEPT, REJECT)
+    }
+    m = Tdfa(["a", ACCEPT, REJECT], 2, "a", ACCEPT, REJECT, table=table)
+    z = OwlString.make(2, [identity_symbol(2)])
+    assert run_on_tape(m, z).outcome == HIT_LEFT
+    with pytest.raises(ValueError, match="hit_left"):
+        decide(m, z)
+
+
+def test_decide_rejects_right_exit_into_non_halting_state():
+    def delta(q, sym):
+        return "p", "R"
+
+    m = Tdfa(["p", ACCEPT, REJECT], 2, "p", ACCEPT, REJECT, delta_fn=delta)
+    z = OwlString.make(2, [identity_symbol(2)])
+    assert run_on_tape(m, z).outcome == HIT_RIGHT
+    with pytest.raises(ValueError, match="'p'"):
+        decide(m, z)
