@@ -113,12 +113,18 @@ def _report(args, command: str, result: dict, started: float) -> dict:
     return rep
 
 
+def _chain_matrix(seq: sequence.ConnectivitySequence, t: int, flag: str) -> BoolMatrix:
+    if not 0 <= t <= seq.N:
+        raise CliError(f"{flag} must be in [0, {seq.N}] for h={seq.h}")
+    return seq[t]
+
+
 def cmd_seq(args) -> tuple[int, dict | str]:
     seq = sequence.build_sequence(args.height)
     if args.index is not None:
         h, t = args.height, args.index
         kinds = {
-            "c": lambda: seq[t],
+            "c": lambda: _chain_matrix(seq, t, "--index"),
             "e": lambda: sequence.e_matrix(t, h),
             "eprime": lambda: sequence.e_prime(t, h),
             "d": lambda: sequence.d_matrix(t, h),
@@ -173,10 +179,7 @@ def _target_matrix(args, m: Tdfa) -> BoolMatrix:
     if (args.conn is None) == (args.matrix is None):
         raise CliError("supply exactly one of --conn, --matrix")
     if args.conn is not None:
-        seq = sequence.build_sequence(m.h)
-        if not 0 <= args.conn <= seq.N:
-            raise CliError(f"--conn must be in [0, {seq.N}] for h={m.h}")
-        return seq[args.conn]
+        return _chain_matrix(sequence.build_sequence(m.h), args.conn, "--conn")
     try:
         with open(args.matrix) as f:
             return BoolMatrix.from_text(f.read())

@@ -227,6 +227,8 @@ def descend_generic(
     if side not in (LR, RL):
         raise ValueError(f"bad side {side!r}")
     h = target.h
+    if h != m.h:
+        raise ValueError(f"target height {h} does not match machine height {m.h}")
     if generators is None:
         generators = default_generators(h)
     generators = tuple(generators)

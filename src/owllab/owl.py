@@ -149,22 +149,35 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(syms)
 
 
-@functools.lru_cache(maxsize=65536)
+# Room for the whole h = 3 alphabet (512 symbols, which the exit searches
+# revisit); single-use random symbols only churn through it.
+@functools.lru_cache(maxsize=4096)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""
     return BoolMatrix.from_cells(a.h, a.edges)
 
 
-def connectivity(z: OwlString) -> BoolMatrix:
-    """End-to-end path-existence matrix; multiplicative under concatenation."""
-    c = matrix.identity(z.h)
-    for s in z.symbols:
+def _fold(z: OwlString, stop_at_zero: bool) -> BoolMatrix:
+    """Product of z's symbol matrices from the first symbol on; identity for
+    the empty string. With stop_at_zero it returns the first zero product."""
+    if not z.symbols:
+        return matrix.identity(z.h)
+    syms = iter(z.symbols)
+    c = symbol_matrix(next(syms))
+    for s in syms:
+        if stop_at_zero and c.is_zero():
+            break
         c = matrix.multiply(c, symbol_matrix(s))
     return c
 
 
+def connectivity(z: OwlString) -> BoolMatrix:
+    """End-to-end path-existence matrix; multiplicative under concatenation."""
+    return _fold(z, stop_at_zero=False)
+
+
 def is_live(z: OwlString) -> bool:
-    return not connectivity(z).is_zero()
+    return not _fold(z, stop_at_zero=True).is_zero()
 
 
 def nfa_live(z: OwlString) -> bool:
@@ -205,7 +218,7 @@ class Property:
 @functools.lru_cache(maxsize=65536)
 def representative_symbol(c: BoolMatrix) -> OwlSymbol:
     """The symbol whose edges are exactly the 1-cells of c."""
-    return OwlSymbol.make(c.h, c.cells())
+    return OwlSymbol(c.h, frozenset(c.cells()))
 
 
 def representative(c: BoolMatrix) -> OwlString:

@@ -1,6 +1,7 @@
 """End-to-end tests for the `owl` command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -46,6 +47,14 @@ def test_seq_index_out_of_range(capsys):
     code, _, err = run_cli(capsys, "seq", "--height", "3", "--index", "2", "--kind", "d")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("index", ["7", "-1"])
+def test_seq_chain_index_out_of_range(capsys, index):
+    code, out, err = run_cli(capsys, "seq", "--height", "3", "--index", index)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --index must be in [0, 6] for h=3"]
 
 
 def test_verify_seq(capsys):
@@ -298,3 +307,124 @@ def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):
     assert builtin.h == 3 and builtin.table is None
     from_file = cli.load_machine("./subset:3", None)
     assert from_file.h == 1 and from_file.table is not None
+
+
+# Seeded mutation fuzz over the three file loaders. Every mutation below is
+# invalid by construction, so each case must end in rc 2 with one error line.
+FUZZ_CASES_PER_FILE = 100
+_SWAP_VALUES = [None, True, 1.5, 7, "junk", ["junk"], {"junk": 1}]
+_WRONG_HEIGHTS = [0, 1, 3, 65, -1]
+
+
+def _valid_string_json():
+    edge = owl.OwlSymbol.make(2, [(1, 2)])
+    blob = OwlString.make(2, [identity_symbol(2), full_symbol(2), edge]).to_json()
+    blob["symbols"].append(edge.to_hex())
+    return blob
+
+
+def _valid_machine_json():
+    def halting(q):
+        return {"LEND": [q, "R"], "REND": [q, "L"], "default": [q, "R"]}
+
+    go = {"LEND": ["go", "R"], "REND": ["accept", "R"], "9": ["go", "R"], "default": ["go", "R"]}
+    return {
+        "h": 2,
+        "states": ["go", "accept", "reject"],
+        "start": "go",
+        "accept": "accept",
+        "reject": "reject",
+        "delta": {"go": go, "accept": halting("accept"), "reject": halting("reject")},
+    }
+
+
+VALID_MATRIX_TEXT = "10\n11\n"
+
+
+def _json_paths(obj, path=()):
+    yield path
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _json_paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutate_json(rng, text):
+    """Truncated text, a value of another JSON type, a wrong height, or a
+    key renamed to junk (a required field, a state or a symbol goes missing)."""
+    kind = rng.choice(["truncate", "swap", "height", "junk_key"])
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))]
+    obj = json.loads(text)
+    paths = list(_json_paths(obj))
+    if kind == "swap":
+        path = rng.choice(paths)
+        value = rng.choice([v for v in _SWAP_VALUES if type(v) is not type(_at(obj, path))])
+    elif kind == "height":
+        path, value = ("h",), rng.choice(_WRONG_HEIGHTS)
+    else:
+        path = rng.choice([p for p in paths if isinstance(_at(obj, p), dict)])
+        value = dict(_at(obj, path))
+        value["junk"] = value.pop(rng.choice(sorted(value)))
+    if not path:
+        return json.dumps(value)
+    _at(obj, path[:-1])[path[-1]] = value
+    return json.dumps(obj)
+
+
+def _mutate_matrix(rng, text):
+    """Truncated text, a junk character, a wrong shape or height, or a junk line."""
+    kind = rng.choice(["truncate", "swap", "height", "junk_line"])
+    lines = text.splitlines()
+    if kind == "truncate":  # cut into the last row, not just its newline
+        return text[: rng.randrange(len(text) - 1)]
+    if kind == "swap":
+        k = rng.randrange(len(text))
+        return text[:k] + rng.choice("2x#") + text[k + 1 :]
+    if kind == "height":
+        h = len(lines)
+        reshape = rng.choice([(-1, 0), (0, -1), (1, 0), (0, 1), (1, 1), (-1, -1)])
+        rows, cols = h + reshape[0], h + reshape[1]
+        lines = [(ln + "0")[:cols] for ln in lines[:rows]] + ["0" * cols] * (rows - h)
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), "junk")
+    return "\n".join(lines) + "\n"
+
+
+VALID_STRING_TEXT = json.dumps(_valid_string_json())
+VALID_MACHINE_TEXT = json.dumps(_valid_machine_json())
+FUZZ_FILES = {  # valid text, its mutation, the command that loads it
+    "string": (VALID_STRING_TEXT, _mutate_json, "run --machine subset:2 --input {file}"),
+    "machine": (VALID_MACHINE_TEXT, _mutate_json, "run --machine {file} --input {string}"),
+    "matrix": (VALID_MATRIX_TEXT, _mutate_matrix, "generic --machine subset:2 --matrix {file}"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_FILES))
+def test_mutated_files_are_usage_errors(capsys, tmp_path, kind):
+    valid, mutate, argv = FUZZ_FILES[kind]
+    path = tmp_path / "file"
+    argv = argv.format(file=path, string=tmp_path / "string.json").split()
+    (tmp_path / "string.json").write_text(VALID_STRING_TEXT)
+    path.write_text(valid)
+    assert cli.main(argv) == 0  # the unmutated file loads and runs
+    capsys.readouterr()
+    rng = random.Random(kind)
+    bad = []
+    for _ in range(FUZZ_CASES_PER_FILE):
+        text = mutate(rng, valid)
+        path.write_text(text)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the failure report shows which text escaped
+            code = repr(exc)
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        if code != 2 or len(errors) != 1 or "Traceback" in err:
+            bad.append((text, code, err))
+    assert bad == []

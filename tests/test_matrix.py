@@ -257,3 +257,57 @@ def test_multiply_memo_is_invisible():
         assert b == fresh
         assert hash(b) == hash(fresh)
         assert repr(b) == repr(fresh)
+
+
+def tail_rows_matrix(rng, h):
+    """Rows that are runs of high bits, sharing tails like the chain's rows."""
+    full = (1 << h) - 1
+    return BoolMatrix(h, tuple(full >> j << j for j in (rng.randint(0, h) for _ in range(h))))
+
+
+def test_multiply_matches_brute_force_at_full_width():
+    rng = random.Random(10)
+    for h in [64, 64, 1] + [rng.randint(1, 64) for _ in range(9)]:
+        b = random_matrix(rng, h)
+        for a in (random_matrix(rng, h), tail_rows_matrix(rng, h), tail_rows_matrix(rng, h)):
+            assert multiply(a, b) == brute_multiply(a, b), h
+        a, c = tail_rows_matrix(rng, h), tail_rows_matrix(rng, h)
+        assert multiply(a, c) == brute_multiply(a, c), h
+
+
+def test_multiply_past_the_memo_cap():
+    # One right operand against more distinct left rows than the memo keeps,
+    # so the memo is cleared between products.
+    rng = random.Random(11)
+    h = 16
+    b = random_matrix(rng, h)
+    seen = set()
+    for _ in range(320):
+        a = random_matrix(rng, h)
+        seen.update(a.rows)
+        assert multiply(a, b) == brute_multiply(a, b)
+    assert len(seen) > matrix._MEMO_CAP
+    assert len(b._prod_rows) <= matrix._MEMO_CAP + h * h
+
+
+def test_products_and_sums_are_plain_matrices():
+    rng = random.Random(12)
+    for h in (1, 7, 64):
+        a, b = random_matrix(rng, h), random_matrix(rng, h)
+        for p in (multiply(a, b), add(a, b)):
+            plain = BoolMatrix(h, p.rows)
+            assert p == plain and plain == p
+            assert hash(p) == hash(plain)
+            assert repr(p) == repr(plain)
+            assert multiply(p, b) == multiply(plain, b)
+
+
+def test_constructor_still_validates():
+    with pytest.raises(ValueError):
+        BoolMatrix(3, (0, 8, 0))  # bit outside the 3x3 square
+    with pytest.raises(ValueError):
+        BoolMatrix(3, (0, -1, 0))
+    with pytest.raises(ValueError):
+        BoolMatrix(64, (1 << 64,) + (0,) * 63)
+    with pytest.raises(ValueError):
+        BoolMatrix(True, (1,))  # a bool is no height

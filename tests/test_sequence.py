@@ -149,3 +149,14 @@ def test_report_records_failures():
 
 def test_build_sequence_caches():
     assert build_sequence(3) is build_sequence(3)
+
+
+# checks_run per height as first recorded; the work done must not change.
+CHECKS_RUN = {1: 14, 2: 56, 3: 119, 5: 308, 8: 749, 16: 2237, 40: 10454}
+
+
+@pytest.mark.parametrize("h", sorted(CHECKS_RUN))
+def test_checks_run_is_pinned(h):
+    rep = verify_sequence(h)
+    assert rep.ok, rep.failures
+    assert rep.checks_run == CHECKS_RUN[h]
