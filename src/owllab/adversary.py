@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -366,9 +367,9 @@ def differential_fuzz(
     seed: int = 0,
 ) -> PumpResult:
     """Compare the machine against the liveness oracle on many strings."""
-    checked = 0
+    by_length = Counter()
     for z in _fuzz_strings(h, max_len, exhaustive, samples, seed):
-        checked += 1
+        by_length[len(z)] += 1
         dec = tdfa.decide(m, z)
         live = owl.nfa_live(z)
         if (dec == tdfa.ACCEPT) != live:
@@ -382,7 +383,11 @@ def differential_fuzz(
             )
             _verify_counterexample(m, cex)
             return cex
-    return NotFound("no disagreement within budget", {"strings_checked": checked})
+    detail = {
+        "strings_checked": sum(by_length.values()),
+        "strings_checked_by_length": {str(n): by_length[n] for n in sorted(by_length)},
+    }
+    return NotFound("no disagreement within budget", detail)
 
 
 def _fuzz_strings(h: int, max_len: int, exhaustive: bool, samples: int, seed: int):

@@ -148,9 +148,9 @@ def cmd_run(args) -> tuple[int, dict]:
     z = load_string(args.input)
     if z.h != m.h:
         raise CliError(f"input height {z.h} does not match machine height {m.h}")
-    res = tdfa.run_on_tape(m, z)
+    res = tdfa.run_on_tape(m, z) if args.trace else tdfa.run_on_tape(m, z, trace_limit=0)
     out = {
-        "decision": tdfa.decide(m, z),
+        "decision": tdfa.verdict(m, res),
         "steps": res.steps,
         "live": owl.is_live(z),
     }

@@ -210,11 +210,12 @@ def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
     """
     budget = len(m.states) * len(tape) + 1 if tape else 1
     trace = [(state, pos)] if trace_limit > 0 else None
+    step = m.delta_fn or m.step
     steps = 0
     while lo <= pos <= hi:
         if steps >= budget:
             return Computation(LOOP, None, steps, trace and tuple(trace))
-        state, d = m.step(state, tape[pos - 1])
+        state, d = step(state, tape[pos - 1])
         pos += 1 if d == "R" else -1
         steps += 1
         if trace is not None:
@@ -254,7 +255,12 @@ def decide(m: Tdfa, z: OwlString) -> str:
     neither accept nor reject, breaks the endmarker discipline that
     `validate` checks and raises ValueError.
     """
-    res = run_on_tape(m, z, trace_limit=0)
+    return verdict(m, run_on_tape(m, z, trace_limit=0))
+
+
+def verdict(m: Tdfa, res: Computation) -> str:
+    """Accept/reject/loop verdict of a full endmarked run `res` of m; see
+    `decide` for the ValueError on any other end."""
     if res.outcome == HIT_RIGHT and res.state == m.accept:
         return ACCEPT
     if res.outcome == HIT_RIGHT and res.state == m.reject:
@@ -273,15 +279,6 @@ def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = 10**5) -> Computation:
     return _simulate(m, tape, m.start, 1, 1, len(tape), trace_limit)
 
 
-def _image_mask(mask: int, sym: OwlSymbol) -> int:
-    """Push a node set (bitmask) through a symbol's edge relation."""
-    out = 0
-    for i, j in sym.edges:
-        if (mask >> (i - 1)) & 1:
-            out |= 1 << (j - 1)
-    return out
-
-
 def _truncate_mask(mask: int, cap: int) -> int:
     """Keep only the cap lowest set bits."""
     out = 0
@@ -295,24 +292,39 @@ def _truncate_mask(mask: int, cap: int) -> int:
 
 
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
+    """States `s<mask>` for every node set of at most cap nodes, plus accept
+    and reject. The names are built once; a step looks them up."""
     full = (1 << h) - 1
-    start_mask = _truncate_mask(full, cap)
-    masks = [m for m in range(full + 1) if bin(m).count("1") <= cap]
-    states = [f"s{m}" for m in masks] + [ACCEPT, REJECT]
+    masks = [m for m in range(full + 1) if m.bit_count() <= cap]
+    name_of = {m: f"s{m}" for m in masks}
+    mask_of = {q: m for m, q in name_of.items()}
+    mask_of[ACCEPT] = mask_of[REJECT] = None
+    start = name_of[_truncate_mask(full, cap)]
+    empty_set = name_of[0]
+    truncating = cap < h
+    bit = (0,) + tuple(1 << k for k in range(h))  # node i is bit[i]
 
     def delta(q: str, sym) -> tuple[str, str]:
-        if sym == LEND:
-            return f"s{start_mask}", "R"
-        if q in (ACCEPT, REJECT):
-            if sym == REND:
+        if sym.__class__ is str:  # an endmarker; cheaper than OwlSymbol.__eq__
+            if sym == LEND:
+                return start, "R"
+            mask = mask_of[q]
+            if mask is None:
                 return q, "R"
-            return "s0", "R"
-        mask = int(q[1:])
-        if sym == REND:
             return (ACCEPT if mask else REJECT), "R"
-        return f"s{_truncate_mask(_image_mask(mask, sym), cap)}", "R"
+        mask = mask_of[q]
+        if mask is None:
+            return empty_set, "R"
+        out = 0
+        for i, j in sym.edges:
+            if mask & bit[i]:
+                out |= bit[j]
+        if truncating and out.bit_count() > cap:
+            out = _truncate_mask(out, cap)
+        return name_of[out], "R"
 
-    return Tdfa(states, h, f"s{start_mask}", ACCEPT, REJECT, delta_fn=delta, name=name)
+    states = [name_of[m] for m in masks] + [ACCEPT, REJECT]
+    return Tdfa(states, h, start, ACCEPT, REJECT, delta_fn=delta, name=name)
 
 
 def build_subset_solver(h: int) -> Tdfa:

@@ -127,6 +127,17 @@ def test_differential_fuzz_random_clean_on_subset_solver():
     assert res.detail["strings_checked"] == 300
 
 
+def test_differential_fuzz_counts_by_length():
+    res = differential_fuzz(tdfa.build_subset_solver(2), 2, max_len=2, exhaustive=True)
+    assert res.detail["strings_checked_by_length"] == {"0": 1, "1": 16, "2": 256}
+    res = differential_fuzz(tdfa.build_subset_solver(3), 3, max_len=6, samples=300, seed=5)
+    by_length = res.detail["strings_checked_by_length"]
+    assert sum(by_length.values()) == res.detail["strings_checked"] == 300
+    assert sorted(by_length, key=int) == [str(n) for n in range(7)]
+    again = differential_fuzz(tdfa.build_subset_solver(3), 3, max_len=6, samples=300, seed=5)
+    assert list(again.detail["strings_checked_by_length"].items()) == list(by_length.items())
+
+
 def test_differential_fuzz_deterministic():
     a = differential_fuzz(tdfa.build_broken_solver(3, 1), 3, samples=200, seed=9)
     b = differential_fuzz(tdfa.build_broken_solver(3, 1), 3, samples=200, seed=9)

@@ -86,6 +86,27 @@ def test_run_with_trace(capsys, tmp_path):
     assert blob["result"]["trace"][0] == ["go", 1]
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_run_simulates_once(capsys, tmp_path, monkeypatch, trace):
+    limits = []
+    real = tdfa._simulate
+
+    def spy(*args):
+        limits.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(tdfa, "_simulate", spy)
+    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    path = write_string(tmp_path, z)
+    argv = ["run", "--machine", "subset:2", "--input", path] + ["--trace"] * trace
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert limits == [10**5 if trace else 0]
+    result = json.loads(out)["result"]
+    assert result["decision"] == "accept" and result["steps"] == 4
+    assert ("trace" in result) == trace
+
+
 def test_run_height_mismatch(capsys, tmp_path):
     z = OwlString.make(3, [identity_symbol(3)])
     path = write_string(tmp_path, z)

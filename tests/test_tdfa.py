@@ -338,3 +338,132 @@ def test_decide_rejects_right_exit_into_non_halting_state():
     assert run_on_tape(m, z).outcome == HIT_RIGHT
     with pytest.raises(ValueError, match="'p'"):
         decide(m, z)
+
+
+def _reference_subset_like(h, cap):
+    """States, start and transition of the subset solver as first written:
+    every step parses and formats a state name and truncates the image."""
+
+    def image(mask, sym):
+        out = 0
+        for i, j in sym.edges:
+            if (mask >> (i - 1)) & 1:
+                out |= 1 << (j - 1)
+        return out
+
+    def truncate(mask, cap):
+        out = 0
+        for _ in range(cap):
+            if not mask:
+                break
+            low = mask & -mask
+            out |= low
+            mask ^= low
+        return out
+
+    full = (1 << h) - 1
+    start_mask = truncate(full, cap)
+    masks = [m for m in range(full + 1) if bin(m).count("1") <= cap]
+    states = [f"s{m}" for m in masks] + [ACCEPT, REJECT]
+
+    def delta(q, sym):
+        if sym == LEND:
+            return f"s{start_mask}", "R"
+        if q in (ACCEPT, REJECT):
+            if sym == REND:
+                return q, "R"
+            return "s0", "R"
+        mask = int(q[1:])
+        if sym == REND:
+            return (ACCEPT if mask else REJECT), "R"
+        return f"s{truncate(image(mask, sym), cap)}", "R"
+
+    return states, f"s{start_mask}", delta
+
+
+def _probe_symbols(h, rng):
+    syms = [owl.empty_symbol(h), identity_symbol(h), full_symbol(h)]
+    if h <= 3:
+        return syms + list(all_symbols(h))
+    return syms + [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(400)]
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_subset_transitions_match_reference(h):
+    rng = random.Random(h)
+    probes = [LEND, REND] + _probe_symbols(h, rng)
+    machines = [(build_subset_solver(h), h)]
+    machines += [(build_broken_solver(h, cap), cap) for cap in range(1, h + 2)]
+    for m, cap in machines:
+        states, start, delta = _reference_subset_like(h, min(cap, h))
+        assert list(m.states) == states
+        assert m.start == start
+        for q in states:
+            for sym in probes:
+                assert m.step(q, sym) == delta(q, sym), (m.name, q, sym)
+
+
+def _reference_run(m, tape, state, pos, lo, hi):
+    """Step through the public Tdfa.step until the head leaves [lo, hi] or
+    the pigeonhole budget |Q| * len(tape) + 1 is spent."""
+    budget = len(m.states) * len(tape) + 1
+    trace = [(state, pos)]
+    while lo <= pos <= hi:
+        if len(trace) > budget:
+            return LOOP, None, budget, tuple(trace)
+        state, d = m.step(state, tape[pos - 1])
+        pos += 1 if d == "R" else -1
+        trace.append((state, pos))
+    return (HIT_LEFT if pos < lo else HIT_RIGHT), state, len(trace) - 1, tuple(trace)
+
+
+def bouncing_table_machine(h=3):
+    """Table machine that sweeps right in p and, on a full symbol, turns
+    back left in q until an empty symbol or LEND sends it right again. Its
+    endmarked runs loop on any string with a full symbol, and so do its bare
+    runs through an empty symbol and then a full one."""
+    full, empty = full_symbol(h).to_hex(), owl.empty_symbol(h).to_hex()
+    table = {
+        "p": {LEND: ("p", "R"), REND: (ACCEPT, "R"), full: ("q", "L"), "default": ("p", "R")},
+        "q": {LEND: ("p", "R"), REND: (REJECT, "R"), empty: ("p", "R"), "default": ("q", "L")},
+        ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
+        REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "R"), "default": (REJECT, "R")},
+    }
+    return Tdfa(["p", "q", ACCEPT, REJECT], h, "p", ACCEPT, REJECT, table=table)
+
+
+def test_simulator_matches_reference_loop():
+    machines = [
+        build_subset_solver(3),
+        build_broken_solver(3, 1),
+        build_broken_solver(3, 2),
+        build_accept_all(3),
+        bouncing_table_machine(3),
+    ]
+    assert all(validate(m) == [] for m in machines)
+    rng = random.Random(7)
+    pool = [owl.empty_symbol(3), identity_symbol(3), full_symbol(3)]
+
+    def symbol():
+        if rng.random() < 0.5:
+            return rng.choice(pool)
+        return OwlSymbol.from_mask(3, rng.getrandbits(9))
+
+    loops = {"tape": 0, "bare": 0}
+    for n in range(7):
+        for _ in range(12):
+            z = OwlString.make(3, [symbol() for _ in range(n)])
+            tape = (LEND,) + z.symbols + (REND,)
+            for m in machines:
+                want = _reference_run(m, tape, m.start, 1, 1, len(tape))
+                runs = [(run_on_tape(m, z), want, "tape")]
+                for p in m.states:
+                    runs.append((lcomp(m, p, z), _reference_run(m, z.symbols, p, 1, 1, n), "bare"))
+                    runs.append((rcomp(m, p, z), _reference_run(m, z.symbols, p, n, 1, n), "bare"))
+                for got, want, kind in runs:
+                    assert (got.outcome, got.state, got.steps) == want[:3]
+                    assert got.trace == (want[3] if kind == "tape" else None)
+                    if got.outcome == LOOP:  # the budget ran out: some configuration repeated
+                        loops[kind] += 1
+                        assert len(set(want[3])) < len(want[3])
+    assert loops["tape"] > 0 and loops["bare"] > 0
