@@ -4,7 +4,6 @@ from .matrix import BoolMatrix, BoolVector, add, identity, is_idempotent, multip
 from .owl import (
     OwlString,
     OwlSymbol,
-    Property,
     connectivity,
     is_live,
     nfa_live,
@@ -21,7 +20,6 @@ __all__ = [
     "ConnectivitySequence",
     "OwlString",
     "OwlSymbol",
-    "Property",
     "Tdfa",
     "add",
     "build_accept_all",

@@ -7,7 +7,6 @@ at 64 so a row always fits one machine word.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -45,15 +44,15 @@ class _RowMemo(dict):
         return acc
 
 
-@functools.lru_cache(maxsize=MAX_H)
-def _cell_pairs(h: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every cell (i, j) of an h x h matrix as one shared tuple, by row.
-
-    Symbols built from dense matrices hold thousands of cells, and their edge
-    sets then share these pairs: verify_sequence at h = 40, 48, 56 and 64
-    peaked at 114 MB of RSS with them and 139 MB without.
-    """
-    return tuple(tuple((i, j) for j in range(1, h + 1)) for i in range(1, h + 1))
+def _cells(rows) -> list[tuple[int, int]]:
+    """The 1-cells (i, j) of bit-packed rows, by row and then by column."""
+    out = []
+    for i, row in enumerate(rows, 1):
+        while row:
+            low = row & -row
+            out.append((i, low.bit_length()))
+            row ^= low
+    return out
 
 
 def _check_h(h: int) -> None:
@@ -85,13 +84,7 @@ class BoolMatrix:
 
     def cells(self) -> list[tuple[int, int]]:
         """All 1-cells in row-major order."""
-        out = []
-        for row, pairs in zip(self.rows, _cell_pairs(self.h)):
-            while row:
-                low = row & -row
-                out.append(pairs[low.bit_length() - 1])
-                row ^= low
-        return out
+        return _cells(self.rows)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -130,10 +123,6 @@ class BoolMatrix:
         """Rows as fixed-width hex masks, for JSON export."""
         width = (self.h + 3) // 4
         return [f"{row:0{width}x}" for row in self.rows]
-
-    @classmethod
-    def from_row_hex(cls, h: int, rows: list[str]) -> "BoolMatrix":
-        return cls(h, tuple(int(r, 16) for r in rows))
 
 
 @dataclass(frozen=True)

@@ -17,26 +17,33 @@ from . import matrix
 from .matrix import BoolMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class OwlSymbol:
-    """One alphabet letter: an edge set between two columns of h nodes."""
+    """One alphabet letter, a two-column graph kept as h row masks in the
+    layout of BoolMatrix: bit j-1 of rows[i-1] is the edge (i, j). The edge
+    set, canonical order and mask and hex forms are views of the rows."""
 
     h: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        matrix._check_h(self.h)
-        for i, j in self.edges:
-            if not (1 <= i <= self.h and 1 <= j <= self.h):
-                raise ValueError(f"edge ({i},{j}) out of range for h={self.h}")
+    def __init__(self, h: int, edges: Iterable[tuple[int, int]]) -> None:
+        matrix._check_h(h)
+        rows = [0] * h
+        for i, j in edges:
+            if not (1 <= i <= h and 1 <= j <= h):
+                raise ValueError(f"edge ({i},{j}) out of range for h={h}")
+            rows[i - 1] |= 1 << (j - 1)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "rows", tuple(rows))
 
-    @classmethod
-    def make(cls, h: int, edges: Iterable[tuple[int, int]]) -> "OwlSymbol":
-        return cls(h, frozenset((int(i), int(j)) for i, j in edges))
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(matrix._cells(self.rows))
 
     @property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
+        """The edges by row, then by column: each row read from its low bit up."""
+        return tuple(matrix._cells(self.rows))
 
     def sort_key(self):
         """Canonical order used wherever symbols are enumerated deterministically."""
@@ -44,22 +51,15 @@ class OwlSymbol:
 
     def to_mask(self) -> int:
         """Row-major bitmask: edge (i,j) is bit (i-1)*h + (j-1)."""
-        m = 0
-        for i, j in self.edges:
-            m |= 1 << ((i - 1) * self.h + (j - 1))
-        return m
+        return sum(row << (i * self.h) for i, row in enumerate(self.rows))
 
     @classmethod
     def from_mask(cls, h: int, mask: int) -> "OwlSymbol":
+        matrix._check_h(h)
         if mask < 0 or mask >> (h * h):
             raise ValueError(f"mask out of range for h={h}")
-        edges = []
-        while mask:
-            low = mask & -mask
-            b = low.bit_length() - 1
-            edges.append((b // h + 1, b % h + 1))
-            mask ^= low
-        return cls(h, frozenset(edges))
+        full = (1 << h) - 1
+        return _trusted(h, tuple(mask >> (i * h) & full for i in range(h)))
 
     def to_hex(self) -> str:
         width = (self.h * self.h + 3) // 4
@@ -68,6 +68,15 @@ class OwlSymbol:
     @classmethod
     def from_hex(cls, h: int, text: str) -> "OwlSymbol":
         return cls.from_mask(h, int(text, 16))
+
+
+def _trusted(h: int, rows: tuple[int, ...]) -> OwlSymbol:
+    """An OwlSymbol from h rows known to fit h bits each: a checked mask's
+    or a BoolMatrix's rows. Skips the edge-by-edge constructor."""
+    s = object.__new__(OwlSymbol)
+    object.__setattr__(s, "h", h)
+    object.__setattr__(s, "rows", rows)
+    return s
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class OwlString:
             elif isinstance(entry, list) and all(
                 isinstance(p, list) and [type(x) for x in p] == [int, int] for p in entry
             ):
-                syms.append(OwlSymbol.make(h, entry))
+                syms.append(OwlSymbol(h, entry))
             else:
                 raise ValueError(f"symbol {entry!r} is neither a hex mask nor a list of [i, j] edges")
         return cls(h, tuple(syms))
@@ -128,15 +137,15 @@ class OwlString:
 
 
 def identity_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol.make(h, [(i, i) for i in range(1, h + 1)])
+    return OwlSymbol(h, [(i, i) for i in range(1, h + 1)])
 
 
 def empty_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol.make(h, [])
+    return OwlSymbol(h, [])
 
 
 def full_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol.make(h, [(i, j) for i in range(1, h + 1) for j in range(1, h + 1)])
+    return OwlSymbol(h, [(i, j) for i in range(1, h + 1) for j in range(1, h + 1)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -154,7 +163,7 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
 @functools.lru_cache(maxsize=4096)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""
-    return BoolMatrix.from_cells(a.h, a.edges)
+    return matrix._trusted(a.h, a.rows)
 
 
 def _fold(z: OwlString, stop_at_zero: bool) -> BoolMatrix:
@@ -187,38 +196,23 @@ def nfa_live(z: OwlString) -> bool:
     relation; the string is live iff the final set is nonempty. Independent
     of connectivity(); the two must agree on every input.
     """
-    h = z.h
-    reach = (1 << h) - 1
+    reach = (1 << z.h) - 1
     for s in z.symbols:
+        rows = s.rows
         nxt = 0
-        for i, j in s.edges:
-            if (reach >> (i - 1)) & 1:
-                nxt |= 1 << (j - 1)
+        while reach:
+            low = reach & -reach
+            nxt |= rows[low.bit_length() - 1]
+            reach ^= low
         reach = nxt
         if not reach:
             return False
     return True
 
 
-@dataclass(frozen=True)
-class Property:
-    """All strings whose connectivity equals a fixed target matrix."""
-
-    h: int
-    target: BoolMatrix
-
-    def __post_init__(self) -> None:
-        if self.target.h != self.h:
-            raise ValueError("target dimension differs from property height")
-
-    def contains(self, z: OwlString) -> bool:
-        return z.h == self.h and connectivity(z) == self.target
-
-
-@functools.lru_cache(maxsize=65536)
 def representative_symbol(c: BoolMatrix) -> OwlSymbol:
     """The symbol whose edges are exactly the 1-cells of c."""
-    return OwlSymbol(c.h, frozenset(c.cells()))
+    return _trusted(c.h, c.rows)
 
 
 def representative(c: BoolMatrix) -> OwlString:
@@ -254,8 +248,8 @@ def separation_context(
         if diff:
             j = (diff & -diff).bit_length()
             swapped = c.get(i, j) == 1
-            u = OwlSymbol.make(h, [(1, i)])
-            v = OwlSymbol.make(h, [(j, 1)])
+            u = OwlSymbol(h, [(1, i)])
+            v = OwlSymbol(h, [(j, 1)])
             return u, v, swapped
     raise ValueError("matrices are equal; no separating cell")
 
@@ -272,7 +266,7 @@ def smooth_infix_witness(c: BoolMatrix) -> Optional[OwlString]:
     cells = c.cells()
     if len(cells) == 1:
         i, j = cells[0]
-        return OwlString.make(c.h, [OwlSymbol.make(c.h, [(j, i)])])
+        return OwlString.make(c.h, [OwlSymbol(c.h, [(j, i)])])
     return None
 
 

@@ -43,7 +43,8 @@ class Tdfa:
 
     The transition function is supplied either as an explicit table over a
     declared symbol subset (with a required per-state default, since the
-    alphabet is far too large to enumerate) or programmatically.
+    alphabet is far too large to enumerate) or programmatically. Table keys
+    are parsed here: a symbol's hex mask in any spelling, at most once per state.
     """
 
     def __init__(
@@ -64,7 +65,7 @@ class Tdfa:
         self.start = start
         self.accept = accept
         self.reject = reject
-        self.table = table
+        self.table = table and {q: _parse_rules(h, q, rules) for q, rules in table.items()}
         self.delta_fn = delta_fn
         self.name = name
         self._state_set = frozenset(self.states)
@@ -73,16 +74,15 @@ class Tdfa:
         """Next (state, direction) for the current state and tape symbol."""
         if self.delta_fn is not None:
             return self.delta_fn(state, sym)
-        entries = self.table.get(state)
-        if entries is None:
+        rules = self.table.get(state)
+        if rules is None:
             raise KeyError(f"state {state!r} has no transition entries")
-        key = sym if isinstance(sym, str) else sym.to_hex()
-        hit = entries.get(key)
+        hit = rules.get(sym)
         if hit is None:
-            hit = entries.get("default")
+            hit = rules.get("default")
         if hit is None:
-            raise KeyError(f"no transition for ({state!r}, {key!r}) and no default")
-        return tuple(hit)
+            raise KeyError(f"no transition for ({state!r}, {_key_text(sym)!r}) and no default")
+        return hit
 
     def to_json(self) -> dict:
         if self.table is None:
@@ -93,7 +93,7 @@ class Tdfa:
             "start": self.start,
             "accept": self.accept,
             "reject": self.reject,
-            "delta": {q: {k: list(v) for k, v in entries.items()} for q, entries in self.table.items()},
+            "delta": {q: {_key_text(k): list(v) for k, v in r.items()} for q, r in self.table.items()},
         }
 
     @classmethod
@@ -129,6 +129,28 @@ class Tdfa:
     def load(cls, path: str) -> "Tdfa":
         with open(path) as f:
             return cls.from_json(json.load(f), name=path)
+
+
+def _parse_rules(h: int, state: str, rules: dict) -> dict:
+    """One state's rules as tuples, keyed by LEND, REND, "default" or the
+    symbol that a hex key names."""
+    parsed = {}
+    for key, rule in rules.items():
+        sym = key
+        if key not in (LEND, REND, "default"):
+            try:
+                sym = OwlSymbol.from_hex(h, key)
+            except ValueError as exc:
+                raise ValueError(f"state {state!r}: bad symbol key {key!r}: {exc}") from None
+            if sym in parsed:
+                raise ValueError(f"state {state!r}: key {key!r} names symbol {sym.to_hex()} twice")
+        parsed[sym] = tuple(rule)
+    return parsed
+
+
+def _key_text(key: TapeSymbol) -> str:
+    """A rule key as the machine format writes it: canonical hex for a symbol."""
+    return key if isinstance(key, str) else key.to_hex()
 
 
 def validate(m: Tdfa) -> list[str]:
@@ -184,12 +206,7 @@ def validate(m: Tdfa) -> list[str]:
             if "default" not in entries:
                 errs.append(f"state {q!r} has no default rule")
             for key, res in entries.items():
-                if key not in (LEND, REND, "default"):
-                    try:
-                        OwlSymbol.from_hex(m.h, key)
-                    except ValueError as exc:
-                        errs.append(f"state {q!r}: bad symbol key {key!r}: {exc}")
-                check_result(q, key, tuple(res))
+                check_result(q, _key_text(key), res)
     else:
         # Programmatic delta: probe a few symbols for well-formed results.
         for sym in (empty_symbol(m.h), identity_symbol(m.h), full_symbol(m.h)):
@@ -302,7 +319,6 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     start = name_of[_truncate_mask(full, cap)]
     empty_set = name_of[0]
     truncating = cap < h
-    bit = (0,) + tuple(1 << k for k in range(h))  # node i is bit[i]
 
     def delta(q: str, sym) -> tuple[str, str]:
         if sym.__class__ is str:  # an endmarker; cheaper than OwlSymbol.__eq__
@@ -315,10 +331,12 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
         mask = mask_of[q]
         if mask is None:
             return empty_set, "R"
+        rows = sym.rows
         out = 0
-        for i, j in sym.edges:
-            if mask & bit[i]:
-                out |= bit[j]
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
         if truncating and out.bit_count() > cap:
             out = _truncate_mask(out, cap)
         return name_of[out], "R"

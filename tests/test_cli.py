@@ -243,6 +243,14 @@ MALFORMED_FILES = {
         "h": 2, "states": ["go", "accept", "reject"], "start": "go",
         "accept": "accept", "reject": "reject", "delta": 5,
     }),
+    "duplicate_key.json": json.dumps({
+        "h": 2, "states": ["go", "accept", "reject"], "start": "go",
+        "accept": "accept", "reject": "reject", "delta": {
+            q: {"LEND": [q, "R"], "REND": ["accept", "R"], "1": [q, "R"], "01": ["reject", "R"],
+                "default": [q, "R"]}
+            for q in ("go", "accept", "reject")
+        },
+    }),
 }
 
 
@@ -252,6 +260,7 @@ MALFORMED_FILES = {
         "run --machine subset:2 --input {dir}/symbols_not_list.json",
         "run --machine subset:2 --input {dir}/top_level_list.json",
         "run --machine {dir}/delta_not_object.json --input {dir}/empty.json",
+        "run --machine {dir}/duplicate_key.json --input {dir}/empty.json",
         "fuzz --machine subset:2 --samples -5",
         "fuzz --machine subset:2 --max-len -1",
         "generic --machine subset:2 --conn 1 --max-ext-len -1",
@@ -338,7 +347,7 @@ _WRONG_HEIGHTS = [0, 1, 3, 65, -1]
 
 
 def _valid_string_json():
-    edge = owl.OwlSymbol.make(2, [(1, 2)])
+    edge = owl.OwlSymbol(2, [(1, 2)])
     blob = OwlString.make(2, [identity_symbol(2), full_symbol(2), edge]).to_json()
     blob["symbols"].append(edge.to_hex())
     return blob

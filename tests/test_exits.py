@@ -240,7 +240,7 @@ def test_extensions_match_brute_force_non_idempotent_target():
 
 def test_extensions_keep_duplicate_generators():
     ident, full = owl.identity_symbol(2), owl.full_symbol(2)
-    gens = (full, ident, OwlSymbol.make(2, [(1, 2)]), ident, owl.empty_symbol(2))
+    gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident, owl.empty_symbol(2))
     for t in range(4):
         target = sequence.build_sequence(2)[t]
         assert_filter_matches(gens, 3, target)

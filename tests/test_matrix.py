@@ -244,7 +244,7 @@ def test_row_hex_round_trip():
     rng = random.Random(8)
     for h in (1, 4, 5, 17, 64):
         m = random_matrix(rng, h)
-        assert BoolMatrix.from_row_hex(h, m.row_hex()) == m
+        assert BoolMatrix(h, tuple(int(r, 16) for r in m.row_hex())) == m
         assert all(len(s) == (h + 3) // 4 for s in m.row_hex())
 
 

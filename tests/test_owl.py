@@ -7,10 +7,10 @@ import pytest
 
 from owllab import matrix, owl
 from owllab.matrix import BoolMatrix
+from owllab.sequence import build_sequence
 from owllab.owl import (
     OwlString,
     OwlSymbol,
-    Property,
     all_symbols,
     connectivity,
     empty_symbol,
@@ -39,9 +39,9 @@ def random_string(rng, h, max_len):
 
 def test_symbol_edge_validation():
     with pytest.raises(ValueError):
-        OwlSymbol.make(2, [(0, 1)])
+        OwlSymbol(2, [(0, 1)])
     with pytest.raises(ValueError):
-        OwlSymbol.make(2, [(1, 3)])
+        OwlSymbol(2, [(1, 3)])
 
 
 def test_symbol_mask_round_trip():
@@ -55,7 +55,7 @@ def test_symbol_mask_round_trip():
 
 def test_symbol_mask_layout():
     # Edge (i, j) occupies bit (i-1)*h + (j-1), row-major.
-    s = OwlSymbol.make(3, [(1, 1), (2, 3), (3, 1)])
+    s = OwlSymbol(3, [(1, 1), (2, 3), (3, 1)])
     assert s.to_mask() == (1 << 0) | (1 << 5) | (1 << 6)
 
 
@@ -79,6 +79,68 @@ def test_all_symbols():
     assert list(syms) == sorted(syms, key=OwlSymbol.sort_key)
     with pytest.raises(ValueError):
         all_symbols(4)
+
+
+def mask_edges(h, mask):
+    """Reference decoding of a symbol mask: edge (i, j) is bit (i-1)*h + (j-1)."""
+    return {(b // h + 1, b % h + 1) for b in range(h * h) if mask >> b & 1}
+
+
+def packed_form_masks():
+    """(h, mask) for every symbol of height <= 3 and for seeded dense and
+    sparse symbols of heights 1..8 and 64."""
+    rng = random.Random(12)
+    cases = [(h, m) for h in (1, 2, 3) for m in range(1 << (h * h))]
+    for h in (*range(1, 9), 64):
+        for _ in range(20):
+            dense = rng.getrandbits(h * h)
+            cases += [(h, dense), (h, dense & rng.getrandbits(h * h) & rng.getrandbits(h * h))]
+    return cases
+
+
+def test_packed_form_views():
+    for h, mask in packed_form_masks():
+        s = OwlSymbol.from_mask(h, mask)
+        edges = mask_edges(h, mask)
+        assert s.edges == edges
+        assert s.rows == tuple(sum(1 << (j - 1) for i, j in edges if i == r) for r in range(1, h + 1))
+        rebuilt = OwlSymbol(h, edges)
+        assert rebuilt == s and hash(rebuilt) == hash(s)
+        assert s.to_mask() == mask
+        assert OwlSymbol.from_hex(h, s.to_hex()) == s
+        assert s.sorted_edges == tuple(sorted(edges)) == s.sort_key()
+        assert symbol_matrix(s).rows == s.rows
+        assert representative_symbol(symbol_matrix(s)) == s
+
+
+def test_all_symbols_in_sorted_edge_order():
+    for h in (2, 3):
+        reference = sorted(sorted(mask_edges(h, m)) for m in range(1 << (h * h)))
+        assert [list(s.sorted_edges) for s in all_symbols(h)] == reference
+
+
+def test_representative_symbol_round_trips_chain_matrices():
+    for t, c in enumerate(build_sequence(64).matrices):
+        s = representative_symbol(c)
+        assert s.rows == c.rows and symbol_matrix(s) == c
+        if t % 64 == 0:
+            assert OwlSymbol(64, c.cells()) == s
+
+
+def test_packed_form_refuses_bad_input():
+    for h, edges in ((2, [(0, 1)]), (2, [(1, 3)]), (2, [(3, 2)]), (64, [(1, 65)])):
+        with pytest.raises(ValueError, match="out of range"):
+            OwlSymbol(h, edges)
+    for h in (True, 0, 65):
+        with pytest.raises(ValueError, match="dimension"):
+            OwlSymbol(h, [])
+        with pytest.raises(ValueError, match="dimension"):
+            OwlSymbol.from_mask(h, 0)
+    for h in (1, 2, 8, 64):
+        with pytest.raises(ValueError, match="mask out of range"):
+            OwlSymbol.from_mask(h, 1 << (h * h))
+        with pytest.raises(ValueError, match="mask out of range"):
+            OwlSymbol.from_hex(h, "1" + "0" * ((h * h + 3) // 4))
 
 
 def test_string_height_checks():
@@ -120,12 +182,12 @@ def test_empty_string_connectivity_is_identity():
 def test_connectivity_hand_example():
     # {(1,2)} then {(2,1)}: the only end-to-end path is 1 -> 2 -> 1.
     z = OwlString.make(
-        2, [OwlSymbol.make(2, [(1, 2)]), OwlSymbol.make(2, [(2, 1)])]
+        2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(2, 1)])]
     )
     assert connectivity(z) == BoolMatrix.from_cells(2, [(1, 1)])
     # Repeating the symbol gives a dead string: nothing leaves node 2.
     w = OwlString.make(
-        2, [OwlSymbol.make(2, [(1, 2)]), OwlSymbol.make(2, [(1, 2)])]
+        2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(1, 2)])]
     )
     assert connectivity(w).is_zero()
     assert not is_live(w)
@@ -140,7 +202,7 @@ def test_connectivity_is_multiplicative():
 
 
 def test_symbol_matrix_is_edge_relation():
-    s = OwlSymbol.make(3, [(1, 3), (2, 2)])
+    s = OwlSymbol(3, [(1, 3), (2, 2)])
     assert symbol_matrix(s) == BoolMatrix.from_cells(3, [(1, 3), (2, 2)])
 
 
@@ -159,16 +221,6 @@ def test_liveness_oracles_agree_random_h4():
     for _ in range(500):
         z = random_string(rng, 4, 6)
         assert is_live(z) == nfa_live(z)
-
-
-def test_property_contains():
-    target = matrix.identity(2)
-    p = Property(2, target)
-    assert p.contains(OwlString.make(2))
-    assert p.contains(OwlString.make(2, [identity_symbol(2)] * 3))
-    assert not p.contains(OwlString.make(2, [full_symbol(2)]))
-    with pytest.raises(ValueError):
-        Property(3, target)
 
 
 def test_representative_in_property():

@@ -118,7 +118,7 @@ def test_sequence_json_round_trip():
     blob = seq.to_json()
     rebuilt = ConnectivitySequence(
         blob["h"],
-        tuple(BoolMatrix.from_row_hex(blob["h"], rows) for rows in blob["matrices"]),
+        tuple(BoolMatrix(blob["h"], tuple(int(r, 16) for r in rows)) for rows in blob["matrices"]),
     )
     assert rebuilt == seq
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -255,7 +256,7 @@ def test_subset_solver_size_cap():
 def test_broken_solver_specific_error():
     # With cap 1 only node 1 is tracked, so a path through node 2 is missed.
     m = build_broken_solver(3, 1)
-    z = OwlString.make(3, [OwlSymbol.make(3, [(2, 2)])])
+    z = OwlString.make(3, [OwlSymbol(3, [(2, 2)])])
     assert owl.nfa_live(z)
     assert decide(m, z) == REJECT
 
@@ -315,6 +316,47 @@ def test_table_lookup_uses_hex_keys_and_default():
     m = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
     assert m.step("s", ident) == (REJECT, "R")
     assert m.step("s", owl.empty_symbol(1)) == ("s", "R")
+
+
+# subset:2 written as a table, with some symbol keys spelled "01", "0A", "00f".
+SUBSET2_TABLE = os.path.join(os.path.dirname(__file__), "subset2_table.json")
+
+
+def test_table_keys_in_any_hex_spelling_fire():
+    m = Tdfa.load(SUBSET2_TABLE)
+    assert validate(m) == []
+    ref = build_subset_solver(2)
+    assert m.states == ref.states and m.start == ref.start
+    for q in ref.states:
+        for sym in (LEND, REND, *all_symbols(2)):
+            assert m.step(q, sym) == ref.step(q, sym), (q, sym)
+    # Edges (2,1) then (1,1): s3 -> s1, then key "01" keeps s1; live.
+    z = OwlString.make(2, [OwlSymbol.from_mask(2, 4), OwlSymbol.from_mask(2, 1)])
+    assert decide(m, z) == ACCEPT
+
+
+def test_table_to_json_writes_canonical_hex():
+    m = Tdfa.load(SUBSET2_TABLE)
+    blob = m.to_json()
+    keys = {k for rules in blob["delta"].values() for k in rules} - {LEND, REND, "default"}
+    assert keys == {f"{mask:x}" for mask in range(16)}
+    assert "1" in blob["delta"]["s1"] and "01" not in blob["delta"]["s1"]
+    assert Tdfa.from_json(blob).table == m.table
+
+
+def test_table_keys_are_parsed_when_built():
+    def build(*keys):
+        rules = {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}
+        rules.update((k, (REJECT, "R")) for k in keys)
+        return Tdfa(["s", ACCEPT, REJECT], 2, "s", ACCEPT, REJECT, table={"s": rules})
+
+    assert build("1", "2").step("s", OwlSymbol.from_mask(2, 2)) == (REJECT, "R")
+    for keys in (("1", "01"), ("a", "A"), ("f", "000F")):
+        with pytest.raises(ValueError, match="twice"):
+            build(*keys)
+    for key in ("zz", "10", "-1", ""):
+        with pytest.raises(ValueError, match="bad symbol key"):
+            build(key)
 
 
 def test_decide_rejects_left_fall_off():
