@@ -107,17 +107,10 @@ def both_sides_generic(
     generators=None,
     max_ext_len: int = 1,
     max_rounds: Optional[int] = None,
-    lr_start: Optional[OwlString] = None,
-    rl_start: Optional[OwlString] = None,
 ) -> tuple[OwlString, GenericCertificate, GenericCertificate]:
     """Compose an LR-descended and an RL-descended member through the smooth
     infix; the result extends both, so it inherits both certificates."""
-    lr_cert = exits.descend_generic(
-        m, target, generators, max_ext_len, max_rounds, LR, start=lr_start
-    )
-    rl_cert = exits.descend_generic(
-        m, target, generators, max_ext_len, max_rounds, RL, start=rl_start
-    )
+    lr_cert, rl_cert = _descend_both(m, target, generators, max_ext_len, max_rounds)
     infix = owl.smooth_infix_witness(target)
     if infix is None:
         raise ValueError("no constructive smoothness witness for the target")
@@ -125,6 +118,15 @@ def both_sides_generic(
     if owl.connectivity(theta) != target:
         raise AssertionError("composed generic candidate left the property")
     return theta, lr_cert, rl_cert
+
+
+def _descend_both(m, target, generators, max_ext_len, max_rounds, starts=(None, None)):
+    """The LR and the RL certificate for target, each descended from its
+    start (None: the representative)."""
+    return tuple(
+        exits.descend_generic(m, target, generators, max_ext_len, max_rounds, side, start=start)
+        for side, start in zip((LR, RL), starts)
+    )
 
 
 def pump(
@@ -152,22 +154,23 @@ def pump(
 
     theta, _, _ = both_sides_generic(m, c_prev, generators, max_ext_len, max_rounds)
     x_sym = owl.suffix_of_choice_witness(c_prev, c_next)
-    block = OwlString.make(h, [x_sym]) + theta  # the pumped unit x.theta
+    x = OwlString.make(h, [x_sym])
+    block = x + theta  # the pumped unit x.theta
 
-    al = exits.alpha(m, theta, block)
-    be = exits.beta(m, theta + OwlString.make(h, [x_sym]), theta)
-    # The domains of alpha and beta are the LR and RL exit sets of theta.
-    if not exits.is_permutation(al, al.domain):
-        return NotFound(
-            "alpha is not a permutation of the LR exit set",
-            {"t": t, "exit_size": len(al.domain), "image_size": len(al.image)},
-        )
-    if not exits.is_permutation(be, be.domain):
-        return NotFound(
-            "beta is not a permutation of the RL exit set",
-            {"t": t, "exit_size": len(be.domain), "image_size": len(be.image)},
-        )
-    t_star = exits.permutation_order(al, al.domain) * exits.permutation_order(be, be.domain)
+    # Both maps continue theta's exit sets (their domains) across theta x
+    # theta; each is built and verified before either is checked.
+    maps = (
+        ("alpha", LR, exits.alpha(m, theta, block)),
+        ("beta", RL, exits.beta(m, theta + x, theta)),
+    )
+    t_star = 1
+    for name, side, pm in maps:
+        if not exits.is_permutation(pm, pm.domain):
+            return NotFound(
+                f"{name} is not a permutation of the {side} exit set",
+                {"t": t, "exit_size": len(pm.domain), "image_size": len(pm.image)},
+            )
+        t_star *= exits.permutation_order(pm, pm.domain)
 
     u, v, _swapped = owl.separation_context(c_prev, c_next)
     ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])
@@ -208,11 +211,19 @@ def pump(
 
 @dataclass
 class ExitChainEntry:
+    """Chain step t: its LR and RL certificates, whose exit sizes are a and b."""
+
     t: int
-    a: int
-    b: int
     lr_cert: GenericCertificate
     rl_cert: GenericCertificate
+
+    @property
+    def a(self) -> int:
+        return self.lr_cert.exit_size
+
+    @property
+    def b(self) -> int:
+        return self.rl_cert.exit_size
 
     def to_json(self) -> dict:
         return {
@@ -222,6 +233,10 @@ class ExitChainEntry:
             "lr": self.lr_cert.to_json(),
             "rl": self.rl_cert.to_json(),
         }
+
+
+def _decrements(sizes: list[int]) -> int:
+    return sum(1 for p, n in itertools.pairwise(sizes) if n < p)
 
 
 @dataclass
@@ -235,15 +250,11 @@ class ExitChainReport:
 
     @property
     def a_decrements(self) -> int:
-        return sum(
-            1 for p, n in itertools.pairwise(self.entries) if n.a < p.a
-        )
+        return _decrements([e.a for e in self.entries])
 
     @property
     def b_decrements(self) -> int:
-        return sum(
-            1 for p, n in itertools.pairwise(self.entries) if n.b < p.b
-        )
+        return _decrements([e.b for e in self.entries])
 
     @property
     def implied_bound(self) -> int:
@@ -283,79 +294,17 @@ def exit_chain(
         raise ValueError(f"chain height {h} exceeds machine height {m.h}")
     seq = sequence.build_sequence(h)
     entries: list[ExitChainEntry] = []
-    prev: Optional[ExitChainEntry] = None
     for t in range(seq.N + 1):
         target = seq[t]
-        lr_start = rl_start = None
-        if prev is not None:
+        starts = (None, None)
+        if entries:
             suffix = OwlString.make(h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
-            lr_seed = prev.lr_cert.y + suffix
-            rl_seed = suffix + prev.rl_cert.y
-            if owl.connectivity(lr_seed) == target:
-                lr_start = lr_seed
-            if owl.connectivity(rl_seed) == target:
-                rl_start = rl_seed
-        lr_cert = exits.descend_generic(
-            m, target, generators, max_ext_len, max_rounds, LR, start=lr_start
-        )
-        rl_cert = exits.descend_generic(
-            m, target, generators, max_ext_len, max_rounds, RL, start=rl_start
-        )
-        entry = ExitChainEntry(t, lr_cert.exit_size, rl_cert.exit_size, lr_cert, rl_cert)
-        entries.append(entry)
-        prev = entry
+            prev = entries[-1]
+            seeds = [exits.extend(c.y, suffix, c.side) for c in (prev.lr_cert, prev.rl_cert)]
+            starts = [s if owl.connectivity(s) == target else None for s in seeds]
+        certs = _descend_both(m, target, generators, max_ext_len, max_rounds, starts)
+        entries.append(ExitChainEntry(t, *certs))
     return ExitChainReport(m.name, h, entries, max_ext_len)
-
-
-@dataclass
-class TraversalDiagnostic:
-    """Crucial points of a full endmarked run relative to a marked block."""
-
-    crucial_points: list[tuple[str, int]]  # (state, tape position)
-    full_traversals: int
-    outcome: str
-    truncated: bool
-
-    def to_json(self) -> dict:
-        return {
-            "crucial_points": [list(p) for p in self.crucial_points],
-            "full_traversals": self.full_traversals,
-            "outcome": self.outcome,
-            "truncated": self.truncated,
-        }
-
-
-def traversal_decomposition(
-    m: Tdfa, u: OwlString, theta: OwlString, tail: OwlString, v: OwlString
-) -> TraversalDiagnostic:
-    """Simulate on LEND u theta tail v REND and locate the configurations
-    ending each full traversal of the theta block (entered on one side,
-    computed strictly inside, exited on the other)."""
-    if len(theta) == 0:
-        raise ValueError("the marked block must be nonempty")
-    z = u + theta + tail + v
-    res = tdfa.run_on_tape(m, z, trace_limit=10**7)
-    truncated = res.trace is None
-    # Tape positions: 1 = LEND, so symbol k of z sits at position k + 1.
-    lo, hi = len(u) + 2, len(u) + len(theta) + 1
-    points = []
-    traversals = 0
-    if not truncated:
-        entry_side = None
-        points.append(res.trace[0])
-        for state, pos in res.trace[1:]:
-            if lo <= pos <= hi:
-                if entry_side is None:
-                    entry_side = "L" if pos == lo else "R"
-            elif entry_side is not None:
-                exit_side = "L" if pos < lo else "R"
-                if exit_side != entry_side:
-                    traversals += 1
-                    points.append((state, pos))
-                entry_side = None
-        if res.outcome != tdfa.LOOP:
-            points.append(res.trace[-1])
-    return TraversalDiagnostic(points, traversals, res.outcome, truncated)
 
 
 def differential_fuzz(

@@ -28,30 +28,28 @@ class CliError(Exception):
     pass
 
 
-_BUILTIN_FORMS = {("accept_all", 1), ("accept_all", 2), ("subset", 2), ("broken", 3)}
+# (name, parts in the spec) -> builder taking the integer parts
+_BUILTINS = {
+    ("accept_all", 2): tdfa.build_accept_all,
+    ("subset", 2): tdfa.build_subset_solver,
+    ("broken", 3): tdfa.build_broken_solver,
+}
 
 
-def load_machine(spec: str, height: int | None) -> Tdfa:
-    """A builtin name (accept_all[:h], subset:h, broken:h:cap) or a machine
+def load_machine(spec: str) -> Tdfa:
+    """A builtin name (accept_all:h, subset:h, broken:h:cap) or a machine
     file path. Builtin names win: a file named `subset:3` is `./subset:3`."""
     parts = spec.split(":")
-    if (parts[0], len(parts)) in _BUILTIN_FORMS:
+    build = _BUILTINS.get((parts[0], len(parts)))
+    if build is not None:
         try:
-            if parts[0] == "accept_all":
-                h = int(parts[1]) if len(parts) == 2 else height
-                if h is None:
-                    raise CliError("accept_all needs --height or accept_all:h")
-                m = tdfa.build_accept_all(h)
-            elif parts[0] == "subset":
-                m = tdfa.build_subset_solver(int(parts[1]))
-            else:
-                m = tdfa.build_broken_solver(int(parts[1]), int(parts[2]))
+            m = build(*map(int, parts[1:]))
         except ValueError as exc:
             raise CliError(f"bad machine spec {spec!r}: {exc}")
     elif os.path.exists(spec):
         try:
             m = Tdfa.load(spec)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot load machine {spec!r}: {exc}")
     else:
         raise CliError(f"unknown machine {spec!r} (not a file or builtin name)")
@@ -62,10 +60,10 @@ def load_machine(spec: str, height: int | None) -> Tdfa:
 
 
 def load_string(path: str) -> OwlString:
-    try:
+    try:  # json raises RecursionError on deeply nested arrays
         with open(path) as f:
             return OwlString.from_json(json.load(f))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot load input string {path!r}: {exc}")
 
 
@@ -144,7 +142,7 @@ def cmd_verify_seq(args) -> tuple[int, dict]:
 
 
 def cmd_run(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     z = load_string(args.input)
     if z.h != m.h:
         raise CliError(f"input height {z.h} does not match machine height {m.h}")
@@ -160,7 +158,7 @@ def cmd_run(args) -> tuple[int, dict]:
 
 
 def cmd_exits(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     z = load_string(args.input)
     side = exits.LR if args.side == "lr" else exits.RL
     tm = exits.traversal_map(m, z, side)
@@ -188,7 +186,7 @@ def _target_matrix(args, m: Tdfa) -> BoolMatrix:
 
 
 def cmd_generic(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     target = _target_matrix(args, m)
     side = exits.LR if args.side == "lr" else exits.RL
     cert = exits.descend_generic(
@@ -198,20 +196,20 @@ def cmd_generic(args) -> tuple[int, dict]:
 
 
 def cmd_chain(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     rep = adversary.exit_chain(m, m.h, max_ext_len=args.max_ext_len)
     return EXIT_OK, rep.to_json()
 
 
 def cmd_pump(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     res = adversary.pump(m, args.index, max_ext_len=args.max_ext_len)
     code = EXIT_FOUND if isinstance(res, adversary.Counterexample) else EXIT_OK
     return code, res.to_json()
 
 
 def cmd_fuzz(args) -> tuple[int, dict]:
-    m = load_machine(args.machine, args.height)
+    m = load_machine(args.machine)
     res = adversary.differential_fuzz(
         m,
         m.h,
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def machine_opts(sp, need_input=False):
         sp.add_argument("--machine", required=True, help="machine JSON file or builtin name")
-        sp.add_argument("--height", type=int, help="height for builtin machines")
         if need_input:
             sp.add_argument("--input", required=True, help="input string JSON file")
 

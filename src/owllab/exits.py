@@ -20,6 +20,15 @@ from .tdfa import Computation, Tdfa
 LR = "LR"
 RL = "RL"
 
+# The outcome that leaves a string on its far end: an LR computation enters
+# on the left and exits right, an RL computation the reverse.
+_FAR_END = {LR: tdfa.HIT_RIGHT, RL: tdfa.HIT_LEFT}
+
+
+def extend(y: OwlString, e: OwlString, side: str) -> OwlString:
+    """y extended by e on its far end: y + e for LR, e + y for RL."""
+    return y + e if side == LR else e + y
+
 
 @dataclass(frozen=True)
 class TraversalMap:
@@ -30,7 +39,7 @@ class TraversalMap:
 
     @property
     def exit_states(self) -> frozenset[str]:
-        want = tdfa.HIT_RIGHT if self.side == LR else tdfa.HIT_LEFT
+        want = _FAR_END[self.side]
         return frozenset(c.state for c in self.outcomes.values() if c.outcome == want)
 
     @property
@@ -39,7 +48,7 @@ class TraversalMap:
 
 
 def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
-    if side not in (LR, RL):
+    if side not in _FAR_END:
         raise ValueError(f"bad side {side!r}")
     runner = tdfa.lcomp if side == LR else tdfa.rcomp
     outcomes = {p: runner(m, p, y) for p in m.states}
@@ -65,40 +74,34 @@ class PartialMap:
         return frozenset(self.mapping.values())
 
 
-def alpha(m: Tdfa, y: OwlString, z: OwlString, verify: bool = True) -> PartialMap:
-    """How LR exit states of y continue across the extension z.
-
-    Maps each exit state q of y to the state (if any) hit right by the run
-    started just past y inside y+z. The image always equals the LR exit set
-    of y+z; this is re-checked on every call.
-    """
-    dom = traversal_map(m, y, LR).exit_states
-    yz = y + z
+def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) -> PartialMap:
+    """Maps each exit state q of y to the state (if any) in which the run
+    from q, entered on the symbol of z next to y, leaves extend(y, z, side)
+    on its far end. The image always equals the exit set of the extended
+    string; `verify` re-checks this."""
+    dom = traversal_map(m, y, side).exit_states
+    ext = extend(y, z, side)
+    entry = len(y) + 1 if side == LR else len(z)
+    far = _FAR_END[side]
     mapping = {}
     for q in sorted(dom):
-        c = tdfa.comp(m, q, len(y) + 1, yz)
-        if c.outcome == tdfa.HIT_RIGHT:
+        c = tdfa.comp(m, q, entry, ext)
+        if c.outcome == far:
             mapping[q] = c.state
     pm = PartialMap(dom, mapping)
-    if verify and pm.image != traversal_map(m, yz, LR).exit_states:
-        raise AssertionError("alpha image does not match the extended exit set")
+    if verify and pm.image != traversal_map(m, ext, side).exit_states:
+        raise AssertionError(f"{side} continuation image does not match the extended exit set")
     return pm
+
+
+def alpha(m: Tdfa, y: OwlString, z: OwlString, verify: bool = True) -> PartialMap:
+    """LR exit states of y continued right across the appended z inside y+z."""
+    return _continuation(m, y, z, LR, verify)
 
 
 def beta(m: Tdfa, z: OwlString, y: OwlString, verify: bool = True) -> PartialMap:
-    """RL counterpart of alpha: exit states of y continued left across the
-    prepended z inside z+y."""
-    dom = traversal_map(m, y, RL).exit_states
-    zy = z + y
-    mapping = {}
-    for q in sorted(dom):
-        c = tdfa.comp(m, q, len(z), zy)
-        if c.outcome == tdfa.HIT_LEFT:
-            mapping[q] = c.state
-    pm = PartialMap(dom, mapping)
-    if verify and pm.image != traversal_map(m, zy, RL).exit_states:
-        raise AssertionError("beta image does not match the extended exit set")
-    return pm
+    """RL exit states of y continued left across the prepended z inside z+y."""
+    return _continuation(m, y, z, RL, verify)
 
 
 def is_permutation(pm: PartialMap, states: frozenset[str]) -> bool:
@@ -224,8 +227,6 @@ def descend_generic(
     shrinks the exit set; stop when a full scan finds no decrease or the
     round budget runs out. LR extends on the right, RL on the left.
     """
-    if side not in (LR, RL):
-        raise ValueError(f"bad side {side!r}")
     h = target.h
     if h != m.h:
         raise ValueError(f"target height {h} does not match machine height {m.h}")
@@ -247,7 +248,7 @@ def descend_generic(
     while rounds < max_rounds and size > 0:
         improved = False
         for ext in _extensions(generators, max_ext_len, left, right, target):
-            cand = y + ext if side == LR else ext + y
+            cand = extend(y, ext, side)
             cand_size = exit_size(m, cand, side)
             if cand_size < size:
                 y, size = cand, cand_size

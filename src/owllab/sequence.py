@@ -59,11 +59,19 @@ def e_matrix(t: int, h: int) -> BoolMatrix:
     return BoolMatrix.from_cells(h, [cell_index(t, h)])
 
 
+def _tail_bits(j: int, h: int) -> int:
+    """A row with 1s in columns j..h."""
+    return ((1 << h) - 1) >> (j - 1) << (j - 1)
+
+
 @functools.lru_cache(maxsize=4096)
 def e_prime(t: int, h: int) -> BoolMatrix:
-    """The t-th cell plus all cells to its right in the same row."""
+    """The t-th cell plus all cells to its right in the same row; built
+    without `outer`, which verify_sequence checks it against."""
     i, j = cell_index(t, h)
-    return outer(unit_col(i, h), tail_row(j, h))
+    rows = [0] * h
+    rows[i - 1] = _tail_bits(j, h)
+    return BoolMatrix(h, tuple(rows))
 
 
 def stage2_column(t: int, h: int) -> int:
@@ -83,9 +91,10 @@ def d_matrix(t: int, h: int) -> BoolMatrix:
 
 @functools.lru_cache(maxsize=4096)
 def d_prime(t: int, h: int) -> BoolMatrix:
-    """All-ones columns from the stage-2 column rightward."""
+    """All-ones columns from the stage-2 column rightward; built without
+    `outer`, like e_prime."""
     j = stage2_column(t, h)
-    return outer(ones_col(h), tail_row(j, h))
+    return BoolMatrix(h, (_tail_bits(j, h),) * h)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ from owllab.adversary import (
     differential_fuzz,
     exit_chain,
     pump,
-    traversal_decomposition,
 )
-from owllab.owl import OwlString, OwlSymbol, identity_symbol
 
 
 def test_pump_breaks_accept_all():
@@ -152,28 +150,6 @@ def test_verify_counterexample_rejects_tampering():
     flipped = dataclasses.replace(res, decisions=(tdfa.REJECT, tdfa.REJECT))
     with pytest.raises(AssertionError):
         adversary._verify_counterexample(tdfa.build_accept_all(2), flipped)
-
-
-def test_traversal_decomposition_single_sweep():
-    m = tdfa.build_accept_all(2)
-    ident = identity_symbol(2)
-    u = OwlString.make(2, [ident])
-    theta = OwlString.make(2, [ident, ident])
-    tail = OwlString.make(2, [ident])
-    v = OwlString.make(2, [ident])
-    diag = traversal_decomposition(m, u, theta, tail, v)
-    assert diag.outcome == tdfa.HIT_RIGHT
-    assert diag.full_traversals == 1
-    assert not diag.truncated
-    blob = diag.to_json()
-    assert blob["full_traversals"] == 1
-
-
-def test_traversal_decomposition_requires_block():
-    m = tdfa.build_accept_all(2)
-    empty = OwlString.make(2)
-    with pytest.raises(ValueError):
-        traversal_decomposition(m, empty, empty, empty, empty)
 
 
 def test_notfound_json():

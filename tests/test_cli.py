@@ -197,6 +197,23 @@ def test_unknown_machine(capsys):
     assert "machine" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--machine", "subset:2", "--height", "5"],
+        ["pump", "--machine", "accept_all", "--index", "1"],
+    ],
+)
+def test_machine_height_comes_from_the_name(capsys, argv):
+    # accept_all:h is the one spelling; no option overrides a machine's height.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown option this way
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_machine_file_round_trip(capsys, tmp_path):
     table = {
         "s": {"LEND": ["s", "R"], "REND": ["accept", "R"], "default": ["s", "R"]},
@@ -251,6 +268,7 @@ MALFORMED_FILES = {
             for q in ("go", "accept", "reject")
         },
     }),
+    "deep.json": "[" * 200000,
 }
 
 
@@ -261,6 +279,8 @@ MALFORMED_FILES = {
         "run --machine subset:2 --input {dir}/top_level_list.json",
         "run --machine {dir}/delta_not_object.json --input {dir}/empty.json",
         "run --machine {dir}/duplicate_key.json --input {dir}/empty.json",
+        "run --machine subset:2 --input {dir}/deep.json",
+        "run --machine {dir}/deep.json --input {dir}/empty.json",
         "fuzz --machine subset:2 --samples -5",
         "fuzz --machine subset:2 --max-len -1",
         "generic --machine subset:2 --conn 1 --max-ext-len -1",
@@ -333,9 +353,9 @@ def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):
     }
     monkeypatch.chdir(tmp_path)
     (tmp_path / "subset:3").write_text(json.dumps(blob))
-    builtin = cli.load_machine("subset:3", None)
+    builtin = cli.load_machine("subset:3")
     assert builtin.h == 3 and builtin.table is None
-    from_file = cli.load_machine("./subset:3", None)
+    from_file = cli.load_machine("./subset:3")
     assert from_file.h == 1 and from_file.table is not None
 
 

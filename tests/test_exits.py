@@ -100,6 +100,87 @@ def test_beta_domain_and_image():
         assert pm.image == traversal_map(m, z + y, RL).exit_states
 
 
+def two_way_machine():
+    """A valid h = 2 machine that moves both ways. l0/l1 run left and r0/r1
+    run right, each pair swapping on symbols with edge (1,1) (resp. (2,2))
+    and falling to l0 (resp. r0) on the empty symbol; b runs right until a
+    symbol with edge (1,2) turns it into l1."""
+    partner = {"l0": "l1", "l1": "l0", "r0": "r1", "r1": "r0"}
+
+    def delta(q, sym):
+        if sym == tdfa.LEND:
+            return ("b" if q == "b" else "r0"), "R"
+        if sym == tdfa.REND:
+            return ("accept" if q in ("r0", "accept") else "reject"), "R"
+        if q in ("accept", "reject"):
+            return q, "R"
+        rows = sym.rows
+        if q == "b":
+            return ("l1", "L") if rows[0] & 2 else ("b", "R")
+        d = "L" if q[0] == "l" else "R"
+        if not any(rows):
+            return q[0] + "0", d
+        swap = rows[0] & 1 if d == "L" else rows[1] & 2
+        return (partner[q] if swap else q), d
+
+    states = ["b", "l0", "l1", "r0", "r1", "accept", "reject"]
+    return tdfa.Tdfa(states, 2, "b", "accept", "reject", delta_fn=delta, name="two_way")
+
+
+def walk(m, tape, q, pos):
+    """Follow m.step from state q at 1-based position pos until the head
+    leaves the bare tape: (outcome, state), or None on a repeated
+    configuration."""
+    seen = set()
+    while 1 <= pos <= len(tape):
+        if (q, pos) in seen:
+            return None
+        seen.add((q, pos))
+        q, d = m.step(q, tape[pos - 1])
+        pos += 1 if d == "R" else -1
+    return (tdfa.HIT_LEFT if pos < 1 else tdfa.HIT_RIGHT), q
+
+
+FAR = {LR: tdfa.HIT_RIGHT, RL: tdfa.HIT_LEFT}
+
+
+def brute_exits(m, y, side):
+    entry = 1 if side == LR else len(y)
+    runs = (walk(m, y.symbols, q, entry) for q in m.states)
+    return frozenset(r[1] for r in runs if r and r[0] == FAR[side])
+
+
+def brute_continuation(m, y, z, side, shift=0):
+    """alpha (LR, tape y+z) or beta (RL, tape z+y) by walking m.step from
+    the symbol of z next to y, moved `shift` cells to the right."""
+    tape = (y + z if side == LR else z + y).symbols
+    entry = (len(y) + 1 if side == LR else len(z)) + shift
+    runs = {q: walk(m, tape, q, entry) for q in brute_exits(m, y, side)}
+    return {q: r[1] for q, r in runs.items() if r and r[0] == FAR[side]}
+
+
+@pytest.mark.parametrize("side", [LR, RL])
+def test_continuation_matches_brute_force_on_a_two_way_machine(side):
+    m = two_way_machine()
+    assert tdfa.validate(m) == []
+    rng = random.Random(3)
+    off_by_one = {-1: 0, 1: 0}
+    for _ in range(100):
+        y, z = random_string(rng, 2, 3), random_string(rng, 2, 3)
+        pm = alpha(m, y, z) if side == LR else beta(m, z, y)
+        want = brute_continuation(m, y, z, side)
+        assert pm.domain == brute_exits(m, y, side)
+        assert len(y) == 0 or pm.domain
+        assert pm.mapping == want
+        ext = y + z if side == LR else z + y
+        assert pm.image == brute_exits(m, ext, side) == traversal_map(m, ext, side).exit_states
+        for shift in off_by_one:
+            off_by_one[shift] += brute_continuation(m, y, z, side, shift) != want
+    # An entry one symbol off gives a different map on some draws, so the
+    # comparison above pins the entry position.
+    assert all(off_by_one.values()), off_by_one
+
+
 def test_partial_map_call():
     pm = PartialMap(frozenset({"a", "b"}), {"a": "b"})
     assert pm("a") == "b"

@@ -147,6 +147,21 @@ def test_report_records_failures():
     assert rep.to_json()["ok"] is False
 
 
+def test_rank_one_checks_catch_a_wrong_outer(monkeypatch):
+    # E' and D' are built from their rows, so a faulty outer shows up in
+    # the rank-one checks instead of agreeing with itself.
+    checks = verify_sequence(6).checks_run
+    monkeypatch.setattr(sequence, "outer", lambda u, v: matrix.zero(u.h))
+    sequence.e_prime.cache_clear()
+    sequence.d_prime.cache_clear()
+    rep = verify_sequence(6)
+    assert rep.checks_run == checks
+    e_fails = [f for f in rep.failures if f.startswith("E'_")]
+    d_fails = [f for f in rep.failures if f.startswith("D'_")]
+    assert e_fails == [f"E'_{t} != outer (h=6)" for t in range(1, 16)]
+    assert d_fails == [f"D'_{t} != outer (h=6)" for t in range(16, 21)]
+
+
 def test_build_sequence_caches():
     assert build_sequence(3) is build_sequence(3)
 
