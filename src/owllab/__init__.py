@@ -1,6 +1,6 @@
 """Laboratory for two-way DFAs and the one-way liveness language."""
 
-from .matrix import BoolMatrix, BoolVector, add, identity, is_idempotent, multiply, zero
+from .matrix import BoolMatrix, add, identity, is_idempotent, multiply, zero
 from .owl import (
     OwlString,
     OwlSymbol,
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoolMatrix",
-    "BoolVector",
     "ConnectivitySequence",
     "OwlString",
     "OwlSymbol",

@@ -49,7 +49,7 @@ def load_machine(spec: str) -> Tdfa:
     elif os.path.exists(spec):
         try:
             m = Tdfa.load(spec)
-        except (OSError, ValueError, RecursionError) as exc:
+        except (OSError, ValueError) as exc:
             raise CliError(f"cannot load machine {spec!r}: {exc}")
     else:
         raise CliError(f"unknown machine {spec!r} (not a file or builtin name)")
@@ -60,10 +60,10 @@ def load_machine(spec: str) -> Tdfa:
 
 
 def load_string(path: str) -> OwlString:
-    try:  # json raises RecursionError on deeply nested arrays
+    try:
         with open(path) as f:
-            return OwlString.from_json(json.load(f))
-    except (OSError, ValueError, RecursionError) as exc:
+            return OwlString.loads(f.read())
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load input string {path!r}: {exc}")
 
 

@@ -2,7 +2,8 @@
 
 Rows are packed into Python ints (bit j-1 <=> column j, columns 1-based),
 so products and sums reduce to word AND/OR operations. Dimension is capped
-at 64 so a row always fits one machine word.
+at 64 so a row always fits one machine word. Row and column vectors are
+plain ints in the same layout (bit i-1 <=> cell i).
 """
 
 from __future__ import annotations
@@ -125,46 +126,6 @@ class BoolMatrix:
         return [f"{row:0{width}x}" for row in self.rows]
 
 
-@dataclass(frozen=True)
-class BoolVector:
-    """Length-h Boolean vector with a row/column orientation."""
-
-    h: int
-    orientation: str  # "row" | "col"
-    bits: int
-
-    def __post_init__(self) -> None:
-        _check_h(self.h)
-        if self.orientation not in ("row", "col"):
-            raise ValueError(f"bad orientation {self.orientation!r}")
-        if self.bits & ~((1 << self.h) - 1):
-            raise ValueError("vector has bits outside its length")
-
-    def get(self, i: int) -> int:
-        if not 1 <= i <= self.h:
-            raise IndexError(f"cell {i} out of range for h={self.h}")
-        return (self.bits >> (i - 1)) & 1
-
-
-def unit_col(i: int, h: int) -> BoolVector:
-    """Column vector with a single 1 at cell i."""
-    if not 1 <= i <= h:
-        raise ValueError(f"cell {i} out of range for h={h}")
-    return BoolVector(h, "col", 1 << (i - 1))
-
-
-def tail_row(j: int, h: int) -> BoolVector:
-    """Row vector with 1s in cells j, j+1, ..., h."""
-    if not 1 <= j <= h:
-        raise ValueError(f"cell {j} out of range for h={h}")
-    return BoolVector(h, "row", ((1 << h) - 1) & ~((1 << (j - 1)) - 1))
-
-
-def ones_col(h: int) -> BoolVector:
-    _check_h(h)
-    return BoolVector(h, "col", (1 << h) - 1)
-
-
 def identity(h: int) -> BoolMatrix:
     _check_h(h)
     return BoolMatrix(h, tuple(1 << i for i in range(h)))
@@ -214,52 +175,37 @@ def is_idempotent(a: BoolMatrix) -> bool:
     return multiply(a, a) == a
 
 
-def outer(u: BoolVector, v: BoolVector) -> BoolMatrix:
-    """Rank-one product of a column vector and a row vector."""
-    if u.orientation != "col" or v.orientation != "row":
-        raise ValueError("outer expects (column, row)")
-    _require_same_h(u, v)
-    rows = [0] * u.h
-    rem = u.bits
-    while rem:
-        low = rem & -rem
-        rows[low.bit_length() - 1] = v.bits
-        rem ^= low
-    return BoolMatrix(u.h, tuple(rows))
+def _check_vector(bits: int, h: int) -> None:
+    _check_h(h)
+    if bits < 0 or bits >> h:
+        raise ValueError(f"vector has bits outside dimension {h}")
 
 
-def inner(v: BoolVector, u: BoolVector) -> bool:
-    """Scalar product of a row vector and a column vector."""
-    if v.orientation != "row" or u.orientation != "col":
-        raise ValueError("inner expects (row, column)")
-    _require_same_h(v, u)
-    return bool(v.bits & u.bits)
+def outer(col: int, row: int, h: int) -> BoolMatrix:
+    """Rank-one product of a column and a row, both bit-packed like a row."""
+    _check_vector(col, h)
+    return BoolMatrix(h, tuple(row if col >> i & 1 else 0 for i in range(h)))
 
 
-def mat_vec(a: BoolMatrix, u: BoolVector) -> BoolVector:
-    """Matrix times column vector."""
-    if u.orientation != "col":
-        raise ValueError("mat_vec expects a column vector")
-    _require_same_h(a, u)
+def mat_vec(a: BoolMatrix, col: int) -> int:
+    """Matrix times bit-packed column: bit i-1 is set iff row i meets col."""
+    _check_vector(col, a.h)
     bits = 0
     for i, row in enumerate(a.rows):
-        if row & u.bits:
+        if row & col:
             bits |= 1 << i
-    return BoolVector(a.h, "col", bits)
+    return bits
 
 
-def vec_mat(v: BoolVector, a: BoolMatrix) -> BoolVector:
-    """Row vector times matrix."""
-    if v.orientation != "row":
-        raise ValueError("vec_mat expects a row vector")
-    _require_same_h(v, a)
+def vec_mat(row: int, a: BoolMatrix) -> int:
+    """Bit-packed row times matrix: the OR of the rows its bits pick out."""
+    _check_vector(row, a.h)
     bits = 0
-    rem = v.bits
-    while rem:
-        low = rem & -rem
+    while row:
+        low = row & -row
         bits |= a.rows[low.bit_length() - 1]
-        rem ^= low
-    return BoolVector(a.h, "row", bits)
+        row ^= low
+    return bits
 
 
 def leq(a: BoolMatrix, b: BoolMatrix) -> bool:

@@ -133,7 +133,11 @@ class OwlString:
 
     @classmethod
     def loads(cls, text: str) -> "OwlString":
-        return cls.from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:  # json's parser recurses once per nesting level
+            raise ValueError("string JSON is nested too deeply") from None
+        return cls.from_json(obj)
 
 
 def identity_symbol(h: int) -> OwlSymbol:

@@ -5,27 +5,17 @@ cell at a time (stage 1), then the strict lower triangle one column at a
 time (stage 2), and finally drops to the zero matrix (stage 3). Each build
 cross-checks the plain single-cell/single-column increments against their
 widened variants, whose algebra carries the idempotence and absorption
-identities this module also verifies.
+identities this module also verifies. Nothing is kept between calls: each
+call rebuilds what it needs from its arguments.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 
 from . import matrix, owl
-from .matrix import (
-    MAX_H,
-    BoolMatrix,
-    inner,
-    mat_vec,
-    ones_col,
-    outer,
-    tail_row,
-    unit_col,
-    vec_mat,
-)
+from .matrix import BoolMatrix, mat_vec, outer, vec_mat
 
 
 def num_upper(h: int) -> int:
@@ -38,7 +28,6 @@ def chain_length(h: int) -> int:
     return h * (h + 1) // 2
 
 
-@functools.lru_cache(maxsize=None)
 def cell_index(t: int, h: int) -> tuple[int, int]:
     """The t-th strict-upper-triangle cell: columns h down to 2, and bottom
     to top within each column; always i < j."""
@@ -53,7 +42,6 @@ def cell_index(t: int, h: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-@functools.lru_cache(maxsize=4096)
 def e_matrix(t: int, h: int) -> BoolMatrix:
     """Single 1 at the t-th cell."""
     return BoolMatrix.from_cells(h, [cell_index(t, h)])
@@ -64,7 +52,6 @@ def _tail_bits(j: int, h: int) -> int:
     return ((1 << h) - 1) >> (j - 1) << (j - 1)
 
 
-@functools.lru_cache(maxsize=4096)
 def e_prime(t: int, h: int) -> BoolMatrix:
     """The t-th cell plus all cells to its right in the same row; built
     without `outer`, which verify_sequence checks it against."""
@@ -82,14 +69,12 @@ def stage2_column(t: int, h: int) -> int:
     return h - (t - u)
 
 
-@functools.lru_cache(maxsize=4096)
 def d_matrix(t: int, h: int) -> BoolMatrix:
     """1s in the stage-2 column strictly below the diagonal."""
     j = stage2_column(t, h)
     return BoolMatrix.from_cells(h, [(i, j) for i in range(j + 1, h + 1)])
 
 
-@functools.lru_cache(maxsize=4096)
 def d_prime(t: int, h: int) -> BoolMatrix:
     """All-ones columns from the stage-2 column rightward; built without
     `outer`, like e_prime."""
@@ -120,7 +105,6 @@ class ConnectivitySequence:
         return {"h": self.h, "matrices": [m.row_hex() for m in self.matrices]}
 
 
-@functools.lru_cache(maxsize=MAX_H)
 def build_sequence(h: int) -> ConnectivitySequence:
     """All chain matrices for height h, cross-checked against the widened
     increments."""
@@ -211,23 +195,23 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
         if 1 <= t <= seq.U:
             i, j = cell_index(t, h)
             ep = e_prime(t, h)
-            e_i, r_j = unit_col(i, h), tail_row(j, h)
+            e_i, r_j = 1 << (i - 1), _tail_bits(j, h)
             check(mul(ep, ep) == zero_h, "(E'_%d)^2 != 0 (h=%d)", t, h)
             check(mul(prev, ep) == ep, "C_%dE'_%d != E'_%d (h=%d)", t - 1, t, t, h)
             check(mul(ep, prev) == ep, "E'_%dC_%d != E'_%d (h=%d)", t, t - 1, t, h)
-            check(ep == outer(e_i, r_j), "E'_%d != outer (h=%d)", t, h)
-            check(not inner(r_j, e_i), "inner(r_%d, e_%d) != 0 (h=%d)", j, i, h)
+            check(ep == outer(e_i, r_j, h), "E'_%d != outer (h=%d)", t, h)
+            check(not r_j & e_i, "inner(r_%d, e_%d) != 0 (h=%d)", j, i, h)
             check(mat_vec(prev, e_i) == e_i, "C_%de_%d != e_%d (h=%d)", t - 1, i, i, h)
             check(vec_mat(r_j, prev) == r_j, "r_%dC_%d != r_%d (h=%d)", j, t - 1, j, h)
         elif t < seq.N:
             j = stage2_column(t, h)
             dp = d_prime(t, h)
-            one, r_j = ones_col(h), tail_row(j, h)
+            one, r_j = (1 << h) - 1, _tail_bits(j, h)
             check(mul(dp, dp) == dp, "(D'_%d)^2 != D'_%d (h=%d)", t, t, h)
             check(mul(prev, dp) == dp, "C_%dD'_%d != D'_%d (h=%d)", t - 1, t, t, h)
             check(mul(dp, prev) == dp, "D'_%dC_%d != D'_%d (h=%d)", t, t - 1, t, h)
-            check(dp == outer(one, r_j), "D'_%d != outer (h=%d)", t, h)
-            check(inner(r_j, one), "inner(r_%d, 1) != 1 (h=%d)", j, h)
+            check(dp == outer(one, r_j, h), "D'_%d != outer (h=%d)", t, h)
+            check(r_j & one, "inner(r_%d, 1) != 1 (h=%d)", j, h)
             check(mat_vec(prev, one) == one, "C_%d*ones != ones (h=%d)", t - 1, h)
             check(vec_mat(r_j, prev) == r_j, "r_%dC_%d != r_%d (h=%d)", j, t - 1, j, h)
         if oracle_stride and (t % oracle_stride == 0 or t == seq.N):

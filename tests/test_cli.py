@@ -1,6 +1,7 @@
 """End-to-end tests for the `owl` command-line interface."""
 
 import json
+import os
 import random
 
 import pytest
@@ -253,6 +254,9 @@ def test_invalid_machine_file_rejected(capsys, tmp_path):
     assert "cannot load machine" in err
 
 
+with open(os.path.join(os.path.dirname(__file__), "subset2_table.json")) as _f:
+    SUBSET2 = json.load(_f)
+
 MALFORMED_FILES = {
     "symbols_not_list.json": '{"h": 2, "symbols": 5}',
     "top_level_list.json": "[1, 2]",
@@ -269,6 +273,10 @@ MALFORMED_FILES = {
         },
     }),
     "deep.json": "[" * 200000,
+    "ghost_state.json": json.dumps({
+        **SUBSET2, "delta": {**SUBSET2["delta"], "ghost": {"default": ["nowhere", "X"]}},
+    }),
+    "state_twice.json": json.dumps({**SUBSET2, "states": SUBSET2["states"] + ["s1"]}),
 }
 
 
@@ -281,6 +289,8 @@ MALFORMED_FILES = {
         "run --machine {dir}/duplicate_key.json --input {dir}/empty.json",
         "run --machine subset:2 --input {dir}/deep.json",
         "run --machine {dir}/deep.json --input {dir}/empty.json",
+        "run --machine {dir}/ghost_state.json --input {dir}/empty.json",
+        "run --machine {dir}/state_twice.json --input {dir}/empty.json",
         "fuzz --machine subset:2 --samples -5",
         "fuzz --machine subset:2 --max-len -1",
         "generic --machine subset:2 --conn 1 --max-ext-len -1",

@@ -166,6 +166,11 @@ def test_string_json_round_trip():
         assert OwlString.loads(z.dumps()) == z
 
 
+def test_string_loads_refuses_deeply_nested_json():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        OwlString.loads("[" * 200000)
+
+
 def test_string_json_accepts_hex_symbols():
     z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
     obj = {"h": 2, "symbols": [s.to_hex() for s in z.symbols]}

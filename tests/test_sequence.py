@@ -1,5 +1,8 @@
 """Unit tests for the connectivity chain and its verification suite."""
 
+import gc
+import weakref
+
 import pytest
 
 from owllab import matrix, sequence
@@ -151,9 +154,7 @@ def test_rank_one_checks_catch_a_wrong_outer(monkeypatch):
     # E' and D' are built from their rows, so a faulty outer shows up in
     # the rank-one checks instead of agreeing with itself.
     checks = verify_sequence(6).checks_run
-    monkeypatch.setattr(sequence, "outer", lambda u, v: matrix.zero(u.h))
-    sequence.e_prime.cache_clear()
-    sequence.d_prime.cache_clear()
+    monkeypatch.setattr(sequence, "outer", lambda col, row, h: matrix.zero(h))
     rep = verify_sequence(6)
     assert rep.checks_run == checks
     e_fails = [f for f in rep.failures if f.startswith("E'_")]
@@ -162,8 +163,12 @@ def test_rank_one_checks_catch_a_wrong_outer(monkeypatch):
     assert d_fails == [f"D'_{t} != outer (h=6)" for t in range(16, 21)]
 
 
-def test_build_sequence_caches():
-    assert build_sequence(3) is build_sequence(3)
+def test_nothing_is_retained_between_calls():
+    seq, ep = build_sequence(8), e_prime(3, 8)
+    refs = [weakref.ref(seq), weakref.ref(seq[5]), weakref.ref(ep)]
+    del seq, ep
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 # checks_run per height as first recorded; the work done must not change.

@@ -296,6 +296,13 @@ def test_from_json_missing_field():
         Tdfa.from_json({"h": 1, "states": ["s"]})
 
 
+def test_load_refuses_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Tdfa.load(str(path))
+
+
 def test_programmatic_machine_not_serializable():
     with pytest.raises(ValueError):
         build_accept_all(2).to_json()
