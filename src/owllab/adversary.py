@@ -22,7 +22,8 @@ from .exits import LR, RL, GenericCertificate
 from .owl import OwlString, OwlSymbol
 from .tdfa import Tdfa
 
-DEFAULT_MAX_PUMPED_LEN = 10**6
+MAX_PUMPED_LEN = 10**6  # pump builds no longer input; it reports NotFound instead
+MAX_LISTED_LEN = 1000  # a counterexample's JSON lists no longer input in full
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class Counterexample:
     t_star: Optional[int] = None
     context: Optional[tuple[OwlSymbol, OwlSymbol]] = None
 
-    def to_json(self, max_listed_len: int = 1000) -> dict:
+    def to_json(self) -> dict:
         obj = {
             "found": True,
             "kind": self.kind,
@@ -68,7 +69,7 @@ class Counterexample:
             "input_lengths": [len(z) for z in self.inputs],
         }
         obj["inputs"] = [
-            z.to_json() if len(z) <= max_listed_len else None for z in self.inputs
+            z.to_json() if len(z) <= MAX_LISTED_LEN else None for z in self.inputs
         ]
         if self.t is not None:
             obj["t"] = self.t
@@ -102,15 +103,11 @@ def _verify_counterexample(m: Tdfa, cex: Counterexample) -> None:
 
 
 def both_sides_generic(
-    m: Tdfa,
-    target,
-    generators=None,
-    max_ext_len: int = 1,
-    max_rounds: Optional[int] = None,
+    m: Tdfa, target, max_ext_len: int = 1
 ) -> tuple[OwlString, GenericCertificate, GenericCertificate]:
     """Compose an LR-descended and an RL-descended member through the smooth
     infix; the result extends both, so it inherits both certificates."""
-    lr_cert, rl_cert = _descend_both(m, target, generators, max_ext_len, max_rounds)
+    lr_cert, rl_cert = _descend_both(m, target, max_ext_len)
     infix = owl.smooth_infix_witness(target)
     if infix is None:
         raise ValueError("no constructive smoothness witness for the target")
@@ -120,23 +117,16 @@ def both_sides_generic(
     return theta, lr_cert, rl_cert
 
 
-def _descend_both(m, target, generators, max_ext_len, max_rounds, starts=(None, None)):
+def _descend_both(m, target, max_ext_len, starts=(None, None)):
     """The LR and the RL certificate for target, each descended from its
     start (None: the representative)."""
     return tuple(
-        exits.descend_generic(m, target, generators, max_ext_len, max_rounds, side, start=start)
+        exits.descend_generic(m, target, max_ext_len, side=side, start=start)
         for side, start in zip((LR, RL), starts)
     )
 
 
-def pump(
-    m: Tdfa,
-    t: int,
-    generators=None,
-    max_ext_len: int = 1,
-    max_rounds: Optional[int] = None,
-    max_pumped_len: int = DEFAULT_MAX_PUMPED_LEN,
-) -> PumpResult:
+def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     """Pumping attack at chain step t (1-based).
 
     Builds a bounded-generic block for the earlier property, the forcing
@@ -152,7 +142,7 @@ def pump(
         raise ValueError(f"t={t} outside [1, {seq.N}] for h={h}")
     c_prev, c_next = seq[t - 1], seq[t]
 
-    theta, _, _ = both_sides_generic(m, c_prev, generators, max_ext_len, max_rounds)
+    theta, _, _ = both_sides_generic(m, c_prev, max_ext_len)
     x_sym = owl.suffix_of_choice_witness(c_prev, c_next)
     x = OwlString.make(h, [x_sym])
     block = x + theta  # the pumped unit x.theta
@@ -165,21 +155,21 @@ def pump(
     )
     t_star = 1
     for name, side, pm in maps:
-        if not exits.is_permutation(pm, pm.domain):
+        if not exits.is_permutation(pm):
             return NotFound(
                 f"{name} is not a permutation of the {side} exit set",
                 {"t": t, "exit_size": len(pm.domain), "image_size": len(pm.image)},
             )
-        t_star *= exits.permutation_order(pm, pm.domain)
+        t_star *= exits.permutation_order(pm)
 
     u, v, _swapped = owl.separation_context(c_prev, c_next)
     ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])
     short = ustr + theta + vstr
     pumped_len = len(short) + t_star * len(block)
-    if pumped_len > max_pumped_len:
+    if pumped_len > MAX_PUMPED_LEN:
         return NotFound(
             "pumped input exceeds the size cap",
-            {"t": t, "t_star": t_star, "pumped_len": pumped_len, "cap": max_pumped_len},
+            {"t": t, "t_star": t_star, "pumped_len": pumped_len, "cap": MAX_PUMPED_LEN},
         )
     pumped = ustr + theta + block.repeat(t_star) + vstr
 
@@ -277,39 +267,30 @@ class ExitChainReport:
         }
 
 
-def exit_chain(
-    m: Tdfa,
-    h: int,
-    generators=None,
-    max_ext_len: int = 1,
-    max_rounds: Optional[int] = None,
-) -> ExitChainReport:
+def exit_chain(m: Tdfa, max_ext_len: int = 1) -> ExitChainReport:
     """Descend both exit sizes for every chain property.
 
     Each step seeds its descent with the previous step's string extended by
     the forcing suffix, so the estimates inherit the monotonicity the exact
     sizes have and cannot bounce upward from search noise.
     """
-    if h > m.h:
-        raise ValueError(f"chain height {h} exceeds machine height {m.h}")
-    seq = sequence.build_sequence(h)
+    seq = sequence.build_sequence(m.h)
     entries: list[ExitChainEntry] = []
     for t in range(seq.N + 1):
         target = seq[t]
         starts = (None, None)
         if entries:
-            suffix = OwlString.make(h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
+            suffix = OwlString.make(m.h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
             prev = entries[-1]
             seeds = [exits.extend(c.y, suffix, c.side) for c in (prev.lr_cert, prev.rl_cert)]
             starts = [s if owl.connectivity(s) == target else None for s in seeds]
-        certs = _descend_both(m, target, generators, max_ext_len, max_rounds, starts)
+        certs = _descend_both(m, target, max_ext_len, starts)
         entries.append(ExitChainEntry(t, *certs))
-    return ExitChainReport(m.name, h, entries, max_ext_len)
+    return ExitChainReport(m.name, m.h, entries, max_ext_len)
 
 
 def differential_fuzz(
     m: Tdfa,
-    h: int,
     max_len: int = 4,
     exhaustive: bool = False,
     samples: int = 1000,
@@ -317,7 +298,7 @@ def differential_fuzz(
 ) -> PumpResult:
     """Compare the machine against the liveness oracle on many strings."""
     by_length = Counter()
-    for z in _fuzz_strings(h, max_len, exhaustive, samples, seed):
+    for z in _fuzz_strings(m.h, max_len, exhaustive, samples, seed):
         by_length[len(z)] += 1
         dec = tdfa.decide(m, z)
         live = owl.nfa_live(z)

@@ -144,8 +144,6 @@ def cmd_verify_seq(args) -> tuple[int, dict]:
 def cmd_run(args) -> tuple[int, dict]:
     m = load_machine(args.machine)
     z = load_string(args.input)
-    if z.h != m.h:
-        raise CliError(f"input height {z.h} does not match machine height {m.h}")
     res = tdfa.run_on_tape(m, z) if args.trace else tdfa.run_on_tape(m, z, trace_limit=0)
     out = {
         "decision": tdfa.verdict(m, res),
@@ -197,7 +195,7 @@ def cmd_generic(args) -> tuple[int, dict]:
 
 def cmd_chain(args) -> tuple[int, dict]:
     m = load_machine(args.machine)
-    rep = adversary.exit_chain(m, m.h, max_ext_len=args.max_ext_len)
+    rep = adversary.exit_chain(m, max_ext_len=args.max_ext_len)
     return EXIT_OK, rep.to_json()
 
 
@@ -212,7 +210,6 @@ def cmd_fuzz(args) -> tuple[int, dict]:
     m = load_machine(args.machine)
     res = adversary.differential_fuzz(
         m,
-        m.h,
         max_len=args.max_len,
         exhaustive=args.exhaustive,
         samples=args.samples,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import matrix, owl, tdfa
+from . import matrix, owl, sequence, tdfa
 from .matrix import BoolMatrix
 from .owl import OwlString, OwlSymbol
 from .tdfa import Computation, Tdfa
@@ -104,24 +104,19 @@ def beta(m: Tdfa, z: OwlString, y: OwlString, verify: bool = True) -> PartialMap
     return _continuation(m, y, z, RL, verify)
 
 
-def is_permutation(pm: PartialMap, states: frozenset[str]) -> bool:
-    """Total on the given set, injective, and image equal to it."""
-    if not states <= pm.domain:
-        return False
-    values = [pm(q) for q in states]
-    if None in values:
-        return False
-    return len(set(values)) == len(values) and set(values) == set(states)
+def is_permutation(pm: PartialMap) -> bool:
+    """Total on its domain, with image equal to the domain (so injective)."""
+    return {pm(q) for q in pm.domain} == pm.domain
 
 
-def permutation_order(pm: PartialMap, states: frozenset[str]) -> int:
+def permutation_order(pm: PartialMap) -> int:
     """Least power at which the permutation becomes the identity: the lcm
     of its cycle lengths. The empty permutation has order 1."""
-    if not is_permutation(pm, states):
-        raise ValueError("map is not a permutation of the given set")
+    if not is_permutation(pm):
+        raise ValueError("map is not a permutation of its domain")
     order = 1
     seen = set()
-    for q in states:
+    for q in pm.domain:
         if q in seen:
             continue
         length = 0
@@ -170,8 +165,6 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     all-edges symbols above that."""
     if h <= 3:
         return owl.all_symbols(h)
-    from . import sequence  # local import to avoid a cycle
-
     seq = sequence.build_sequence(h)
     syms = {owl.representative_symbol(c) for c in seq.matrices}
     syms.add(owl.identity_symbol(h))
@@ -214,7 +207,6 @@ def _extensions(
 def descend_generic(
     m: Tdfa,
     target: BoolMatrix,
-    generators=None,
     max_ext_len: int = 1,
     max_rounds: Optional[int] = None,
     side: str = LR,
@@ -230,9 +222,7 @@ def descend_generic(
     h = target.h
     if h != m.h:
         raise ValueError(f"target height {h} does not match machine height {m.h}")
-    if generators is None:
-        generators = default_generators(h)
-    generators = tuple(generators)
+    generators = default_generators(h)
     if max_rounds is None:
         max_rounds = len(m.states)
     y = start if start is not None else owl.representative(target)

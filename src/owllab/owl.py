@@ -224,13 +224,13 @@ def representative(c: BoolMatrix) -> OwlString:
     return OwlString.make(c.h, [representative_symbol(c)])
 
 
-def sample_member(c: BoolMatrix, rng, max_pad: int = 3) -> OwlString:
-    """Random member of the property of c: its representative padded with
-    identity symbols (connectivity-preserving)."""
+def sample_member(c: BoolMatrix, rng) -> OwlString:
+    """Random member of the property of c: its representative padded on each
+    side with up to 3 identity symbols (connectivity-preserving)."""
     h = c.h
     ident = identity_symbol(h)
-    pre = [ident] * rng.randint(0, max_pad)
-    post = [ident] * rng.randint(0, max_pad)
+    pre = [ident] * rng.randint(0, 3)
+    post = [ident] * rng.randint(0, 3)
     return OwlString.make(h, pre + [representative_symbol(c)] + post)
 
 

@@ -61,6 +61,7 @@ class Tdfa:
     ):
         if (table is None) == (delta_fn is None):
             raise ValueError("supply exactly one of table, delta_fn")
+        _check_h(h)
         self.states = tuple(states)
         self.h = h
         self.start = start
@@ -104,7 +105,6 @@ class Tdfa:
         for field in ("h", "states", "start", "accept", "reject", "delta"):
             if field not in obj:
                 raise ValueError(f"machine JSON missing field {field!r}")
-        _check_h(obj["h"])
         delta = obj["delta"]
         if not (isinstance(delta, dict) and all(isinstance(e, dict) for e in delta.values())):
             raise ValueError("machine delta must map each state to an object of rules")
@@ -251,8 +251,15 @@ def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
     return Computation(outcome, state, steps, trace and tuple(trace))
 
 
+def _check_height(m: Tdfa, z: OwlString) -> None:
+    """Where every run starts: the machine fixes the height of its inputs."""
+    if z.h != m.h:
+        raise ValueError(f"input height {z.h} does not match machine height {m.h}")
+
+
 def comp(m: Tdfa, p: str, j: int, z: OwlString) -> Computation:
     """Deterministic run on bare z from state p at position j (1-based)."""
+    _check_height(m, z)
     n = len(z)
     if j == 0:
         return Computation(HIT_LEFT, p, 0)
@@ -300,6 +307,7 @@ def verdict(m: Tdfa, res: Computation) -> str:
 
 def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = 10**5) -> Computation:
     """Full run on LEND z REND from the start state; positions 1..|z|+2 on the tape."""
+    _check_height(m, z)
     tape = (LEND,) + z.symbols + (REND,)
     return _simulate(m, tape, m.start, 1, 1, len(tape), trace_limit)
 

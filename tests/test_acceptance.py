@@ -243,7 +243,7 @@ def criterion_7():
             "decisions": list(res.decisions) if found else None,
             "liveness": list(res.liveness) if found else None,
         }
-    res = adversary.differential_fuzz(tdfa.build_broken_solver(3, 1), 3)
+    res = adversary.differential_fuzz(tdfa.build_broken_solver(3, 1))
     found = isinstance(res, adversary.Counterexample)
     if found:
         adversary._verify_counterexample(tdfa.build_broken_solver(3, 1), res)
@@ -277,7 +277,7 @@ def criterion_8():
                     "reason": res.reason if isinstance(res, adversary.NotFound) else None,
                 }
             )
-        chain = adversary.exit_chain(m, h)
+        chain = adversary.exit_chain(m)
         a_sizes = [e.a for e in chain.entries]
         b_sizes = [e.b for e in chain.entries]
         out[f"subset_h{h}"] = {

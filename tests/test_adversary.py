@@ -42,9 +42,10 @@ def test_pump_counterexample_json():
     assert len(blob["inputs"]) == 2 and None not in blob["inputs"]
 
 
-def test_pump_json_elides_huge_inputs():
+def test_pump_json_elides_huge_inputs(monkeypatch):
     res = pump(tdfa.build_accept_all(2), 1)
-    blob = res.to_json(max_listed_len=0)
+    monkeypatch.setattr(adversary, "MAX_LISTED_LEN", 0)
+    blob = res.to_json()
     assert blob["inputs"] == [None, None]
     assert blob["input_lengths"] == [len(z) for z in res.inputs]
 
@@ -68,8 +69,9 @@ def test_pump_index_out_of_range():
         pump(m, 4)
 
 
-def test_pump_respects_size_cap():
-    res = pump(tdfa.build_accept_all(2), 1, max_pumped_len=1)
+def test_pump_respects_size_cap(monkeypatch):
+    monkeypatch.setattr(adversary, "MAX_PUMPED_LEN", 1)
+    res = pump(tdfa.build_accept_all(2), 1)
     assert isinstance(res, NotFound)
     assert "cap" in res.detail
 
@@ -87,7 +89,7 @@ def test_both_sides_generic_stays_in_property():
 def test_exit_chain_monotone():
     for h in (2, 3):
         m = tdfa.build_subset_solver(h)
-        rep = exit_chain(m, h)
+        rep = exit_chain(m)
         a_sizes = [e.a for e in rep.entries]
         b_sizes = [e.b for e in rep.entries]
         assert all(x >= y for x, y in zip(a_sizes, a_sizes[1:]))
@@ -99,13 +101,8 @@ def test_exit_chain_monotone():
         assert blob["implied_bound"] == rep.implied_bound
 
 
-def test_exit_chain_height_check():
-    with pytest.raises(ValueError):
-        exit_chain(tdfa.build_subset_solver(2), 3)
-
-
 def test_differential_fuzz_finds_broken_solver():
-    res = differential_fuzz(tdfa.build_broken_solver(3, 1), 3, samples=200)
+    res = differential_fuzz(tdfa.build_broken_solver(3, 1), samples=200)
     assert isinstance(res, Counterexample)
     assert res.kind == "fuzz"
     z = res.inputs[0]
@@ -114,31 +111,31 @@ def test_differential_fuzz_finds_broken_solver():
 
 
 def test_differential_fuzz_exhaustive_counts():
-    res = differential_fuzz(tdfa.build_subset_solver(2), 2, max_len=2, exhaustive=True)
+    res = differential_fuzz(tdfa.build_subset_solver(2), max_len=2, exhaustive=True)
     assert isinstance(res, NotFound)
     assert res.detail["strings_checked"] == 1 + 16 + 256
 
 
 def test_differential_fuzz_random_clean_on_subset_solver():
-    res = differential_fuzz(tdfa.build_subset_solver(3), 3, samples=300, seed=5)
+    res = differential_fuzz(tdfa.build_subset_solver(3), samples=300, seed=5)
     assert isinstance(res, NotFound)
     assert res.detail["strings_checked"] == 300
 
 
 def test_differential_fuzz_counts_by_length():
-    res = differential_fuzz(tdfa.build_subset_solver(2), 2, max_len=2, exhaustive=True)
+    res = differential_fuzz(tdfa.build_subset_solver(2), max_len=2, exhaustive=True)
     assert res.detail["strings_checked_by_length"] == {"0": 1, "1": 16, "2": 256}
-    res = differential_fuzz(tdfa.build_subset_solver(3), 3, max_len=6, samples=300, seed=5)
+    res = differential_fuzz(tdfa.build_subset_solver(3), max_len=6, samples=300, seed=5)
     by_length = res.detail["strings_checked_by_length"]
     assert sum(by_length.values()) == res.detail["strings_checked"] == 300
     assert sorted(by_length, key=int) == [str(n) for n in range(7)]
-    again = differential_fuzz(tdfa.build_subset_solver(3), 3, max_len=6, samples=300, seed=5)
+    again = differential_fuzz(tdfa.build_subset_solver(3), max_len=6, samples=300, seed=5)
     assert list(again.detail["strings_checked_by_length"].items()) == list(by_length.items())
 
 
 def test_differential_fuzz_deterministic():
-    a = differential_fuzz(tdfa.build_broken_solver(3, 1), 3, samples=200, seed=9)
-    b = differential_fuzz(tdfa.build_broken_solver(3, 1), 3, samples=200, seed=9)
+    a = differential_fuzz(tdfa.build_broken_solver(3, 1), samples=200, seed=9)
+    b = differential_fuzz(tdfa.build_broken_solver(3, 1), samples=200, seed=9)
     assert a.to_json() == b.to_json()
 
 

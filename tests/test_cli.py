@@ -277,6 +277,7 @@ MALFORMED_FILES = {
         **SUBSET2, "delta": {**SUBSET2["delta"], "ghost": {"default": ["nowhere", "X"]}},
     }),
     "state_twice.json": json.dumps({**SUBSET2, "states": SUBSET2["states"] + ["s1"]}),
+    "height3.json": OwlString.make(3, [full_symbol(3)]).dumps(),
 }
 
 
@@ -291,6 +292,8 @@ MALFORMED_FILES = {
         "run --machine {dir}/deep.json --input {dir}/empty.json",
         "run --machine {dir}/ghost_state.json --input {dir}/empty.json",
         "run --machine {dir}/state_twice.json --input {dir}/empty.json",
+        "exits --machine subset:2 --input {dir}/height3.json",
+        "exits --machine accept_all:2 --input {dir}/height3.json",
         "fuzz --machine subset:2 --samples -5",
         "fuzz --machine subset:2 --max-len -1",
         "generic --machine subset:2 --conn 1 --max-ext-len -1",

@@ -191,28 +191,26 @@ def test_partial_map_call():
 def test_is_permutation():
     states = frozenset({"a", "b", "c"})
     ident = PartialMap(states, {q: q for q in states})
-    assert is_permutation(ident, states)
+    assert is_permutation(ident)
     cycle = PartialMap(states, {"a": "b", "b": "c", "c": "a"})
-    assert is_permutation(cycle, states)
+    assert is_permutation(cycle)
     collapse = PartialMap(states, {"a": "b", "b": "b", "c": "a"})
-    assert not is_permutation(collapse, states)
+    assert not is_permutation(collapse)
     partial = PartialMap(states, {"a": "b", "b": "a"})
-    assert not is_permutation(partial, states)
-    # States outside the domain disqualify immediately.
-    assert not is_permutation(ident, frozenset({"a", "d"}))
+    assert not is_permutation(partial)
 
 
 def test_permutation_order():
     states = frozenset({"a", "b", "c", "d"})
     ident = PartialMap(states, {q: q for q in states})
-    assert permutation_order(ident, states) == 1
+    assert permutation_order(ident) == 1
     two_two = PartialMap(states, {"a": "b", "b": "a", "c": "d", "d": "c"})
-    assert permutation_order(two_two, states) == 2
+    assert permutation_order(two_two) == 2
     three_one = PartialMap(states, {"a": "b", "b": "c", "c": "a", "d": "d"})
-    assert permutation_order(three_one, states) == 3
-    assert permutation_order(PartialMap(frozenset(), {}), frozenset()) == 1
+    assert permutation_order(three_one) == 3
+    assert permutation_order(PartialMap(frozenset(), {})) == 1
     with pytest.raises(ValueError):
-        permutation_order(PartialMap(states, {"a": "a"}), states)
+        permutation_order(PartialMap(states, {"a": "a"}))
 
 
 def test_default_generators():

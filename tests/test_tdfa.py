@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from owllab import owl, tdfa
+from owllab import exits, owl, tdfa
 from owllab.owl import OwlString, OwlSymbol, all_symbols, full_symbol, identity_symbol
 from owllab.tdfa import (
     ACCEPT,
@@ -60,6 +60,30 @@ def test_constructor_requires_one_delta():
         Tdfa(["s"], 1, "s", "s", "s")
     with pytest.raises(ValueError):
         Tdfa(["s"], 1, "s", "s", "s", table={}, delta_fn=lambda q, s: (q, "R"))
+
+
+def test_constructor_checks_height():
+    for h in (0, 70, "2"):
+        with pytest.raises(ValueError, match="dimension"):
+            Tdfa(["s"], h, "s", "s", "s", delta_fn=lambda q, s: (q, "R"))
+    with pytest.raises(ValueError, match="dimension"):
+        build_accept_all(0)
+
+
+@pytest.mark.parametrize("m", [build_subset_solver(2), build_subset_solver(4), build_accept_all(2)])
+def test_runs_refuse_an_input_of_another_height(m):
+    z = OwlString.make(3, [identity_symbol(3), full_symbol(3)])
+    want = f"input height 3 does not match machine height {m.h}"
+    runs = (
+        lambda: decide(m, z),
+        lambda: lcomp(m, m.start, z),
+        lambda: rcomp(m, m.start, z),
+        lambda: exits.traversal_map(m, z, exits.LR),
+        lambda: exits.traversal_map(m, z, exits.RL),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match=want):
+            run()
 
 
 def test_validate_builtins_clean():
