@@ -74,13 +74,17 @@ class PartialMap:
         return frozenset(self.mapping.values())
 
 
-def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) -> PartialMap:
-    """Maps each exit state q of y to the state (if any) in which the run
-    from q, entered on the symbol of z next to y, leaves extend(y, z, side)
-    on its far end. The image always equals the exit set of the extended
-    string; `verify` re-checks this."""
-    dom = traversal_map(m, y, side).exit_states
-    ext = extend(y, z, side)
+def _continue(
+    m: Tdfa, dom: frozenset[str], y: OwlString, z: OwlString, ext: OwlString, side: str
+) -> dict[str, str]:
+    """Runs each state q of `dom`, y's exit states, on ext = extend(y, z, side)
+    from the symbol of z next to y, and maps q to the state in which the run
+    leaves ext on its far end; runs that leave otherwise or loop are dropped.
+
+    A run on ext from the near end is the run on y until it first leaves y,
+    so the image is exactly the exit set of ext (Shepherdson's crossing
+    argument); the run may cross back into y on the way.
+    """
     entry = len(y) + 1 if side == LR else len(z)
     far = _FAR_END[side]
     mapping = {}
@@ -88,7 +92,15 @@ def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) 
         c = tdfa.comp(m, q, entry, ext)
         if c.outcome == far:
             mapping[q] = c.state
-    pm = PartialMap(dom, mapping)
+    return mapping
+
+
+def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) -> PartialMap:
+    """`_continue` on y's exit states as a partial map on them; `verify`
+    re-checks that its image is the exit set of extend(y, z, side)."""
+    dom = traversal_map(m, y, side).exit_states
+    ext = extend(y, z, side)
+    pm = PartialMap(dom, _continue(m, dom, y, z, ext, side))
     if verify and pm.image != traversal_map(m, ext, side).exit_states:
         raise AssertionError(f"{side} continuation image does not match the extended exit set")
     return pm
@@ -228,21 +240,23 @@ def descend_generic(
     y = start if start is not None else owl.representative(target)
     if owl.connectivity(y) != target:
         raise ValueError("start string is not in the target property")
-    size = exit_size(m, y, side)
-    history = [size]
+    # The exit set of y + e is y's exit set continued across e, so each
+    # candidate runs only those states, from the seam.
+    exit_states = traversal_map(m, y, side).exit_states
+    history = [len(exit_states)]
     rounds = 0
     # y stays in the property, so an extension e keeps it there exactly when
     # target * C(e) == target (LR) or C(e) * target == target (RL).
     ident = matrix.identity(h)
     left, right = (target, ident) if side == LR else (ident, target)
-    while rounds < max_rounds and size > 0:
+    while rounds < max_rounds and exit_states:
         improved = False
         for ext in _extensions(generators, max_ext_len, left, right, target):
             cand = extend(y, ext, side)
-            cand_size = exit_size(m, cand, side)
-            if cand_size < size:
-                y, size = cand, cand_size
-                history.append(size)
+            cand_exits = frozenset(_continue(m, exit_states, y, ext, cand, side).values())
+            if len(cand_exits) < len(exit_states):
+                y, exit_states = cand, cand_exits
+                history.append(len(exit_states))
                 improved = True
                 break
         rounds += 1
@@ -252,7 +266,7 @@ def descend_generic(
         y=y,
         target=target,
         side=side,
-        exit_size=size,
+        exit_size=len(exit_states),
         size_history=tuple(history),
         generator_count=len(generators),
         max_ext_len=max_ext_len,

@@ -327,6 +327,7 @@ def _truncate_mask(mask: int, cap: int) -> int:
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     """States `s<mask>` for every node set of at most cap nodes, plus accept
     and reject. The names are built once; a step looks them up."""
+    _check_h(h)  # before the shift below, which a negative h would break
     full = (1 << h) - 1
     masks = [m for m in range(full + 1) if m.bit_count() <= cap]
     name_of = {m: f"s{m}" for m in masks}

@@ -316,6 +316,13 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+def test_negative_height_machine_spec_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "chain", "--machine", "subset:-1")
+    assert code == 2
+    assert out == ""
+    assert "dimension must be an integer" in err
+
+
 def test_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")
     _, out2, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from owllab import exits, matrix, owl, sequence, tdfa
+from owllab import cli, exits, matrix, owl, sequence, tdfa
 from owllab.exits import (
     LR,
     RL,
@@ -342,3 +342,59 @@ def test_descend_generic_pinned_h3(side, history, symbols):
     cert = descend_generic(m, sequence.build_sequence(3)[3], max_ext_len=2, side=side)
     assert cert.size_history == history
     assert [s.to_hex() for s in cert.y.symbols] == symbols
+
+
+def reference_descent(m, target, max_ext_len, side, start):
+    """descend_generic with every candidate sized by running every state of
+    m over the whole of y + e: (y, size_history, exit_size, rounds_searched)."""
+    y = start if start is not None else owl.representative(target)
+    size = exit_size(m, y, side)
+    history = [size]
+    rounds = 0
+    ident = matrix.identity(target.h)
+    left, right = (target, ident) if side == LR else (ident, target)
+    gens = default_generators(target.h)
+    while rounds < len(m.states) and size > 0:
+        improved = False
+        for ext in exits._extensions(gens, max_ext_len, left, right, target):
+            cand = exits.extend(y, ext, side)
+            cand_size = exit_size(m, cand, side)
+            if cand_size < size:
+                y, size = cand, cand_size
+                history.append(size)
+                improved = True
+                break
+        rounds += 1
+        if not improved:
+            break
+    return y, tuple(history), size, rounds
+
+
+@pytest.mark.parametrize(
+    "spec, max_ext_len",
+    [
+        ("subset:2", 2),
+        ("broken:2:1", 2),
+        ("accept_all:2", 2),
+        ("subset:3", 1),
+        ("broken:3:1", 1),
+        ("broken:3:2", 1),
+        ("two_way", 2),
+    ],
+)
+def test_descent_matches_full_resimulation(spec, max_ext_len):
+    # The descent sizes a candidate by continuing y's exit states across the
+    # extension; re-running every state over y + e must give the same descent,
+    # from each chain representative and from seeded random start strings.
+    m = two_way_machine() if spec == "two_way" else cli.load_machine(spec)
+    rng = random.Random(4)
+    starts = [(target, None) for target in sequence.build_sequence(m.h).matrices]
+    for _ in range(10):
+        y = random_string(rng, m.h, 4)
+        starts.append((owl.connectivity(y), y))
+    for target, start in starts:
+        for side in (LR, RL):
+            cert = descend_generic(m, target, max_ext_len=max_ext_len, side=side, start=start)
+            got = (cert.y, cert.size_history, cert.exit_size, cert.rounds_searched)
+            want = reference_descent(m, target, max_ext_len, side, start)
+            assert got == want, (side, target, start)

@@ -70,6 +70,13 @@ def test_constructor_checks_height():
         build_accept_all(0)
 
 
+def test_subset_builders_check_height_before_using_it():
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        build_subset_solver(-1)
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        build_broken_solver(-1, 1)
+
+
 @pytest.mark.parametrize("m", [build_subset_solver(2), build_subset_solver(4), build_accept_all(2)])
 def test_runs_refuse_an_input_of_another_height(m):
     z = OwlString.make(3, [identity_symbol(3), full_symbol(3)])
