@@ -188,18 +188,62 @@ def _extensions(
     generators, max_ext_len: int, left: BoolMatrix, right: BoolMatrix, target: BoolMatrix
 ):
     """In-property extension words: those e with left * C(e) * right == target,
-    by length, then lexicographically in canonical order.
+    by length, then lexicographically in the order of `generators` (a
+    generator listed twice gives its words twice).
 
-    The test sees a word only through its prefix product left * C(prefix)
-    and the bucket C(g) * right of its last letter g, so it is settled once
-    per distinct prefix product, against the distinct buckets, rather than
-    once per word.
+    A word is seen only through its prefix product P = left * C(prefix) and
+    its last letter g. With B = C(g) * right, P * B == target exactly when
+    (1) every row k of B lies inside U_k, the AND of the target rows i whose
+    P row contains k, and (2) every column c of target row i is in row k of
+    B for some k in P's row i. Row k of B depends only on g's row k, so both
+    tests read bitsets over the generator positions, built once per call,
+    and each distinct prefix product is settled with a few ANDs and ORs.
     """
     h = target.h
-    gens = sorted(generators, key=OwlSymbol.sort_key)
-    mats = [owl.symbol_matrix(g) for g in gens]
-    bucket_of = [matrix.multiply(c, right) for c in mats]
-    buckets = set(bucket_of)
+    gens = tuple(generators)
+    full = (1 << h) - 1
+    # positions[k][r]: the generators whose row k is r, as a bitset of positions.
+    positions = [{} for _ in range(h)]
+    for pos, g in enumerate(gens):
+        for k, r in enumerate(g.rows):
+            positions[k][r] = positions[k].get(r, 0) | 1 << pos
+    image = {r: matrix.vec_mat(r, right) for rows in positions for r in rows}
+    # rows_of[k]: (row k of B, generators giving it); covers[k][c-1]: the
+    # generators whose row k of B has column c.
+    rows_of = [[(image[r], bits) for r, bits in by_value.items()] for by_value in positions]
+    covers = [[0] * h for _ in range(h)]
+    for k, pairs in enumerate(rows_of):
+        for b, bits in pairs:
+            while b:
+                low = b & -b
+                covers[k][low.bit_length() - 1] |= bits
+                b ^= low
+
+    def settle(prod: BoolMatrix) -> int:
+        """The generators g with prod * C(g) * right == target, as a bitset."""
+        ok = (1 << len(gens)) - 1
+        for k in range(h):
+            inside = full
+            for p, t in zip(prod.rows, target.rows):
+                if p >> k & 1:
+                    inside &= t
+            if inside != full:
+                ok &= sum(bits for b, bits in rows_of[k] if not b & ~inside)
+        for p, t in zip(prod.rows, target.rows):
+            while t and ok:
+                low = t & -t
+                c = low.bit_length() - 1
+                some = 0
+                q = p
+                while q:
+                    kbit = q & -q
+                    some |= covers[kbit.bit_length() - 1][c]
+                    q ^= kbit
+                ok &= some
+                t ^= low
+        return ok
+
+    mats = [owl.symbol_matrix(g) for g in gens] if max_ext_len > 1 else []
     last_letters = {}  # prefix product -> the generators that end an in-property word
     frontier = [((), left)]
     for length in range(1, max_ext_len + 1):
@@ -207,10 +251,11 @@ def _extensions(
         for word, prod in frontier:
             ok = last_letters.get(prod)
             if ok is None:
-                hits = {b for b in buckets if matrix.multiply(prod, b) == target}
-                ok = last_letters[prod] = [g for g, b in zip(gens, bucket_of) if b in hits]
-            for g in ok:
-                yield OwlString.make(h, word + (g,))
+                ok = last_letters[prod] = settle(prod)
+            while ok:
+                low = ok & -ok
+                yield OwlString.make(h, word + (gens[low.bit_length() - 1],))
+                ok ^= low
             if length < max_ext_len:
                 nxt.extend((word + (g,), matrix.multiply(prod, c)) for g, c in zip(gens, mats))
         frontier = nxt

@@ -162,8 +162,9 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(syms)
 
 
-# Room for the whole h = 3 alphabet (512 symbols, which the exit searches
-# revisit); single-use random symbols only churn through it.
+# Room for the whole h = 3 alphabet (512 symbols, whose matrices every scan
+# for extensions longer than one letter multiplies by again); single-use
+# random symbols only churn through it.
 @functools.lru_cache(maxsize=4096)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""

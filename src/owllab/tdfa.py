@@ -8,7 +8,9 @@ detected exactly by a pigeonhole step budget.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -324,12 +326,22 @@ def _truncate_mask(mask: int, cap: int) -> int:
     return out
 
 
+# The most states a subset-like machine may have: subset:12's 2^12 node
+# sets plus accept and reject.
+_MAX_SUBSET_STATES = (1 << 12) + 2
+
+
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
-    """States `s<mask>` for every node set of at most cap nodes, plus accept
-    and reject. The names are built once; a step looks them up."""
-    _check_h(h)  # before the shift below, which a negative h would break
+    """States `s<mask>` for every node set of at most cap nodes, by mask
+    value, plus accept and reject. The names are built once; a step looks
+    them up."""
+    _check_h(h)  # before the shift and math.comb below, which a negative h would break
+    size = sum(math.comb(h, n) for n in range(cap + 1)) + 2
+    if size > _MAX_SUBSET_STATES:
+        raise ValueError(f"{size} states at h={h}, cap={cap}; at most {_MAX_SUBSET_STATES} are allowed")
     full = (1 << h) - 1
-    masks = [m for m in range(full + 1) if m.bit_count() <= cap]
+    sets = (nodes for n in range(cap + 1) for nodes in itertools.combinations(range(h), n))
+    masks = sorted(sum(1 << i for i in nodes) for nodes in sets)
     name_of = {m: f"s{m}" for m in masks}
     mask_of = {q: m for m, q in name_of.items()}
     mask_of[ACCEPT] = mask_of[REJECT] = None
@@ -364,9 +376,8 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
 
 def build_subset_solver(h: int) -> Tdfa:
     """One-way machine tracking the exact reachable node set; correct but
-    exponential (2^h subset states plus accept and reject)."""
-    if h > 12:
-        raise ValueError(f"subset solver for h={h} would need 2^{h} states")
+    exponential (2^h subset states plus accept and reject), so the state
+    budget refuses it above h = 12."""
     return _subset_like(h, h, f"subset:{h}")
 
 
@@ -375,8 +386,6 @@ def build_broken_solver(h: int, cap: int) -> Tdfa:
     elements after every step; wrong for cap < h."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if h > 12:
-        raise ValueError(f"broken solver for h={h} is too large")
     return _subset_like(h, min(cap, h), f"broken:{h}:{cap}")
 
 

@@ -323,6 +323,16 @@ def test_negative_height_machine_spec_is_a_usage_error(capsys):
     assert "dimension must be an integer" in err
 
 
+def test_machine_spec_over_the_state_budget_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "chain", "--machine", "broken:16:5")
+    assert code == 2
+    assert out == ""
+    assert [ln for ln in err.splitlines() if "error:" in ln] == [
+        "error: bad machine spec 'broken:16:5': 6887 states at h=16, cap=5; at most 4098 are allowed"
+    ]
+    assert "Traceback" not in err
+
+
 def test_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")
     _, out2, _ = run_cli(capsys, "--no-timing", "verify-seq", "--height", "3")

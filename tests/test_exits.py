@@ -214,11 +214,15 @@ def test_permutation_order():
 
 
 def test_default_generators():
+    # The descent lists extensions in generator order, so this is the one
+    # place that fixes canonical order.
     assert len(default_generators(2)) == 16
+    assert len(default_generators(3)) == 512
     gens4 = default_generators(4)
     assert owl.identity_symbol(4) in gens4
     assert owl.full_symbol(4) in gens4
-    assert list(gens4) == sorted(gens4, key=OwlSymbol.sort_key)
+    for gens in (default_generators(2), default_generators(3), gens4):
+        assert list(gens) == sorted(gens, key=OwlSymbol.sort_key)
 
 
 def test_descend_generic_accept_all():
@@ -272,13 +276,13 @@ def test_certificate_json_shape():
 
 
 def brute_force_extensions(generators, max_ext_len, target, side):
-    """Every word up to max_ext_len, by length then canonical order, kept
-    when a fresh owl.connectivity keeps the target's property."""
-    gens = sorted(generators, key=OwlSymbol.sort_key)
+    """Every word up to max_ext_len, by length then in the order the
+    generators are given, kept when a fresh owl.connectivity keeps the
+    target's property."""
     h = target.h
     out = []
     for n in range(1, max_ext_len + 1):
-        for word in itertools.product(gens, repeat=n):
+        for word in itertools.product(generators, repeat=n):
             ce = owl.connectivity(OwlString.make(h, word))
             conn = matrix.multiply(target, ce) if side == LR else matrix.multiply(ce, target)
             if conn == target:
@@ -306,6 +310,26 @@ def test_extensions_match_brute_force_h2(t):
 @pytest.mark.parametrize("t", range(7))
 def test_extensions_match_brute_force_h3_length_1(t):
     assert_filter_matches(owl.all_symbols(3), 1, sequence.build_sequence(3)[t])
+
+
+@pytest.mark.parametrize("t", range(11))
+def test_extensions_match_brute_force_h4_length_2(t):
+    # The chain representatives, identity and all-edges symbols are not the
+    # alphabet, so a generator's bit position is not its symbol mask.
+    assert_filter_matches(default_generators(4), 2, sequence.build_sequence(4)[t])
+
+
+def test_extensions_match_brute_force_h3_length_2_unsorted():
+    # 19 distinct seeded symbols in draw order, then the second of them again.
+    gens = [OwlSymbol.from_mask(3, mask) for mask in random.Random(5).sample(range(512), 19)]
+    gens = tuple(gens + gens[1:2])
+    assert list(gens) != sorted(gens, key=OwlSymbol.sort_key)
+    for target in sequence.build_sequence(3).matrices:
+        assert_filter_matches(gens, 2, target)
+    # The last targets keep many of these words, the duplicate's among them.
+    words = filtered_extensions(gens, 2, sequence.build_sequence(3)[5], LR)
+    assert len(words) == 308
+    assert words.count(OwlString.make(3, [gens[1]])) == 2
 
 
 def test_extensions_match_brute_force_non_idempotent_target():
@@ -345,18 +369,18 @@ def test_descend_generic_pinned_h3(side, history, symbols):
 
 
 def reference_descent(m, target, max_ext_len, side, start):
-    """descend_generic with every candidate sized by running every state of
-    m over the whole of y + e: (y, size_history, exit_size, rounds_searched)."""
+    """descend_generic with the extensions listed by brute force and every
+    candidate sized by running every state of m over the whole of y + e:
+    (y, size_history, exit_size, rounds_searched)."""
     y = start if start is not None else owl.representative(target)
     size = exit_size(m, y, side)
     history = [size]
     rounds = 0
-    ident = matrix.identity(target.h)
-    left, right = (target, ident) if side == LR else (ident, target)
     gens = default_generators(target.h)
+    extensions = brute_force_extensions(gens, max_ext_len, target, side)
     while rounds < len(m.states) and size > 0:
         improved = False
-        for ext in exits._extensions(gens, max_ext_len, left, right, target):
+        for ext in extensions:
             cand = exits.extend(y, ext, side)
             cand_size = exit_size(m, cand, side)
             if cand_size < size:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from owllab import exits, owl, tdfa
+from owllab import exits, owl, sequence, tdfa
 from owllab.owl import OwlString, OwlSymbol, all_symbols, full_symbol, identity_symbol
 from owllab.tdfa import (
     ACCEPT,
@@ -280,7 +280,8 @@ def test_subset_solver_matches_oracle_random_h3():
 
 
 def test_subset_solver_size_cap():
-    with pytest.raises(ValueError):
+    assert len(build_subset_solver(12).states) == 4098
+    with pytest.raises(ValueError, match="at most 4098"):
         build_subset_solver(13)
 
 
@@ -306,6 +307,23 @@ def test_broken_solver_agrees_when_cap_is_h():
 def test_broken_solver_validation():
     with pytest.raises(ValueError):
         build_broken_solver(3, 0)
+
+
+def test_broken_solver_past_h12_within_the_state_budget():
+    # Node sets of at most 2 of 16 nodes: 1 + 16 + 120, plus accept and reject.
+    m = build_broken_solver(16, 2)
+    assert len(m.states) == sequence.build_sequence(16).N + 3 == 139
+    assert validate(m) == []
+    z = OwlString.make(16, [OwlSymbol(16, [(2, 2)])])
+    assert decide(m, z) == ACCEPT
+    assert len(build_broken_solver(64, 1).states) == 67
+
+
+def test_broken_solver_state_budget():
+    # subset:12's 4098 states is the most any subset-like machine may have.
+    for h, cap in ((13, 13), (16, 5), (64, 3)):
+        with pytest.raises(ValueError, match="at most 4098"):
+            build_broken_solver(h, cap)
 
 
 def test_json_round_trip(tmp_path):
@@ -465,11 +483,14 @@ def _probe_symbols(h, rng):
     syms = [owl.empty_symbol(h), identity_symbol(h), full_symbol(h)]
     if h <= 3:
         return syms + list(all_symbols(h))
-    return syms + [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(400)]
+    count = 400 if h == 4 else 12
+    return syms + [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("h", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", range(1, 13))
 def test_subset_transitions_match_reference(h):
+    # Every state up to h = 4; above that the start state, the halting
+    # states and a seeded sample of 16 others.
     rng = random.Random(h)
     probes = [LEND, REND] + _probe_symbols(h, rng)
     machines = [(build_subset_solver(h), h)]
@@ -478,6 +499,8 @@ def test_subset_transitions_match_reference(h):
         states, start, delta = _reference_subset_like(h, min(cap, h))
         assert list(m.states) == states
         assert m.start == start
+        if h > 4:
+            states = [start, ACCEPT, REJECT] + rng.sample(states, min(16, len(states)))
         for q in states:
             for sym in probes:
                 assert m.step(q, sym) == delta(q, sym), (m.name, q, sym)
