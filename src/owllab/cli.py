@@ -9,6 +9,7 @@ verification failure was produced, 2 on usage or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -247,7 +248,10 @@ def _global_flags(defaults: bool) -> argparse.ArgumentParser:
     return g
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `owl` parser, built once per process on first use. Parsing keeps
+    no state on it: each parse fills a fresh namespace."""
     p = argparse.ArgumentParser(prog="owl", description=__doc__, parents=[_global_flags(True)])
     sub = p.add_subparsers(dest="subcommand", required=True)
     after = _global_flags(False)

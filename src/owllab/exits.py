@@ -75,21 +75,23 @@ class PartialMap:
 
 
 def _continue(
-    m: Tdfa, dom: frozenset[str], y: OwlString, z: OwlString, ext: OwlString, side: str
+    m: Tdfa, dom: list[str], entry: int, tape: tuple[OwlSymbol, ...], side: str
 ) -> dict[str, str]:
-    """Runs each state q of `dom`, y's exit states, on ext = extend(y, z, side)
-    from the symbol of z next to y, and maps q to the state in which the run
-    leaves ext on its far end; runs that leave otherwise or loop are dropped.
+    """Runs each state q of `dom` on the bare `tape` from the 1-based position
+    `entry`, the symbol of the extension next to y, and maps q to the state in
+    which the run leaves the tape on its far end; runs that leave otherwise or
+    loop are dropped. The heights are the caller's to check.
 
-    A run on ext from the near end is the run on y until it first leaves y,
-    so the image is exactly the exit set of ext (Shepherdson's crossing
-    argument); the run may cross back into y on the way.
+    When `dom` is y's exit set and `tape` is y extended on its far end, a run
+    from the near end is the run on y until it first leaves y, so the image
+    is exactly the exit set of the tape (Shepherdson's crossing argument);
+    the run may cross back into y on the way.
     """
-    entry = len(y) + 1 if side == LR else len(z)
     far = _FAR_END[side]
+    n = len(tape)
     mapping = {}
-    for q in sorted(dom):
-        c = tdfa.comp(m, q, entry, ext)
+    for q in dom:
+        c = tdfa._simulate(m, tape, q, entry, 1, n)
         if c.outcome == far:
             mapping[q] = c.state
     return mapping
@@ -98,9 +100,10 @@ def _continue(
 def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) -> PartialMap:
     """`_continue` on y's exit states as a partial map on them; `verify`
     re-checks that its image is the exit set of extend(y, z, side)."""
-    dom = traversal_map(m, y, side).exit_states
-    ext = extend(y, z, side)
-    pm = PartialMap(dom, _continue(m, dom, y, z, ext, side))
+    dom = traversal_map(m, y, side).exit_states  # checks y's height
+    ext = extend(y, z, side)  # and OwlString.__add__ checks z's
+    entry = len(y) + 1 if side == LR else len(z)
+    pm = PartialMap(dom, _continue(m, sorted(dom), entry, ext.symbols, side))
     if verify and pm.image != traversal_map(m, ext, side).exit_states:
         raise AssertionError(f"{side} continuation image does not match the extended exit set")
     return pm
@@ -187,9 +190,9 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
 def _extensions(
     generators, max_ext_len: int, left: BoolMatrix, right: BoolMatrix, target: BoolMatrix
 ):
-    """In-property extension words: those e with left * C(e) * right == target,
-    by length, then lexicographically in the order of `generators` (a
-    generator listed twice gives its words twice).
+    """In-property extension words, as symbol tuples: those e with
+    left * C(e) * right == target, by length, then lexicographically in the
+    order of `generators` (a generator listed twice gives its words twice).
 
     A word is seen only through its prefix product P = left * C(prefix) and
     its last letter g. With B = C(g) * right, P * B == target exactly when
@@ -254,7 +257,7 @@ def _extensions(
                 ok = last_letters[prod] = settle(prod)
             while ok:
                 low = ok & -ok
-                yield OwlString.make(h, word + (gens[low.bit_length() - 1],))
+                yield word + (gens[low.bit_length() - 1],)
                 ok ^= low
             if length < max_ext_len:
                 nxt.extend((word + (g,), matrix.multiply(prod, c)) for g, c in zip(gens, mats))
@@ -286,8 +289,9 @@ def descend_generic(
     if owl.connectivity(y) != target:
         raise ValueError("start string is not in the target property")
     # The exit set of y + e is y's exit set continued across e, so each
-    # candidate runs only those states, from the seam.
-    exit_states = traversal_map(m, y, side).exit_states
+    # candidate runs only those states, from the seam, on a bare symbol tape;
+    # only an adopted candidate becomes a string.
+    exit_states = sorted(traversal_map(m, y, side).exit_states)  # checks y's height
     history = [len(exit_states)]
     rounds = 0
     # y stays in the property, so an extension e keeps it there exactly when
@@ -296,11 +300,15 @@ def descend_generic(
     left, right = (target, ident) if side == LR else (ident, target)
     while rounds < max_rounds and exit_states:
         improved = False
+        base = y.symbols
         for ext in _extensions(generators, max_ext_len, left, right, target):
-            cand = extend(y, ext, side)
-            cand_exits = frozenset(_continue(m, exit_states, y, ext, cand, side).values())
+            if side == LR:
+                tape, entry = base + ext, len(base) + 1
+            else:
+                tape, entry = ext + base, len(ext)
+            cand_exits = set(_continue(m, exit_states, entry, tape, side).values())
             if len(cand_exits) < len(exit_states):
-                y, exit_states = cand, cand_exits
+                y, exit_states = OwlString(h, tape), sorted(cand_exits)
                 history.append(len(exit_states))
                 improved = True
                 break

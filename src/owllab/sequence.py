@@ -11,6 +11,7 @@ call rebuilds what it needs from its arguments.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -34,12 +35,11 @@ def cell_index(t: int, h: int) -> tuple[int, int]:
     u = num_upper(h)
     if not 1 <= t <= u:
         raise ValueError(f"t={t} outside stage 1 range [1, {u}] for h={h}")
-    rem = t
-    for j in range(h, 1, -1):
-        if rem <= j - 1:
-            return (j - rem, j)
-        rem -= j - 1
-    raise AssertionError("unreachable")
+    # Columns h..j+1 hold u - j(j-1)/2 cells, so cell t lies in the least
+    # column j with j(j-1)/2 > u - t. The greatest k with k(k-1)/2 <= u - t
+    # is (1 + isqrt(8(u - t) + 1)) // 2, exactly, and j = k + 1.
+    j = (1 + math.isqrt(8 * (u - t) + 1)) // 2 + 1
+    return (j - t + u - j * (j - 1) // 2, j)
 
 
 def e_matrix(t: int, h: int) -> BoolMatrix:

@@ -372,6 +372,27 @@ def test_global_flags_after_the_subcommand(capsys):
     assert "seed: 3" in out_before and "timing_s" not in out_before
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # main builds the parser once per process; what one parse sets, including
+    # the subcommand's copies of the global flags, must not leak into the next.
+    cli.build_parser.cache_clear()
+    generic = ["generic", "--machine", "subset:2", "--conn", "1"]
+    code, out, _ = run_cli(capsys, *generic, "--no-timing", "--seed", "3", "--format", "pretty")
+    assert code == 0
+    assert "seed: 3" in out and "timing_s" not in out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(generic + ["--side", "up"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *generic)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["config"]["seed"] == 0
+    assert blob["config"]["side"] == "lr"
+    assert "timing_s" in blob
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):
     table = {
         q: {"LEND": ["s", "R"], "REND": ["accept", "R"], "default": ["s", "R"]}

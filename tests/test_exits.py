@@ -159,6 +159,16 @@ def brute_continuation(m, y, z, side, shift=0):
     return {q: r[1] for q, r in runs.items() if r and r[0] == FAR[side]}
 
 
+def test_alpha_beta_refuse_a_z_of_another_height():
+    m = tdfa.build_subset_solver(2)
+    y = OwlString.make(2, [identity_symbol(2)])
+    z = OwlString.make(3, [identity_symbol(3)])
+    with pytest.raises(ValueError, match="height"):
+        alpha(m, y, z)
+    with pytest.raises(ValueError, match="height"):
+        beta(m, z, y)
+
+
 @pytest.mark.parametrize("side", [LR, RL])
 def test_continuation_matches_brute_force_on_a_two_way_machine(side):
     m = two_way_machine()
@@ -276,9 +286,9 @@ def test_certificate_json_shape():
 
 
 def brute_force_extensions(generators, max_ext_len, target, side):
-    """Every word up to max_ext_len, by length then in the order the
-    generators are given, kept when a fresh owl.connectivity keeps the
-    target's property."""
+    """Every word up to max_ext_len as a symbol tuple, by length then in the
+    order the generators are given, kept when a fresh owl.connectivity keeps
+    the target's property."""
     h = target.h
     out = []
     for n in range(1, max_ext_len + 1):
@@ -286,7 +296,7 @@ def brute_force_extensions(generators, max_ext_len, target, side):
             ce = owl.connectivity(OwlString.make(h, word))
             conn = matrix.multiply(target, ce) if side == LR else matrix.multiply(ce, target)
             if conn == target:
-                out.append(OwlString.make(h, word))
+                out.append(word)
     return out
 
 
@@ -329,7 +339,7 @@ def test_extensions_match_brute_force_h3_length_2_unsorted():
     # The last targets keep many of these words, the duplicate's among them.
     words = filtered_extensions(gens, 2, sequence.build_sequence(3)[5], LR)
     assert len(words) == 308
-    assert words.count(OwlString.make(3, [gens[1]])) == 2
+    assert words.count((gens[1],)) == 2
 
 
 def test_extensions_match_brute_force_non_idempotent_target():
@@ -348,7 +358,7 @@ def test_extensions_keep_duplicate_generators():
         target = sequence.build_sequence(2)[t]
         assert_filter_matches(gens, 3, target)
     words = filtered_extensions(gens, 1, sequence.build_sequence(2)[0], LR)
-    assert words.count(OwlString.make(2, [ident])) == 2
+    assert words.count((ident,)) == 2
 
 
 def test_extensions_of_length_zero_are_none():
@@ -368,6 +378,26 @@ def test_descend_generic_pinned_h3(side, history, symbols):
     assert [s.to_hex() for s in cert.y.symbols] == symbols
 
 
+def test_descent_builds_strings_only_on_adoption(monkeypatch):
+    # Candidates are bare symbol tapes; an OwlString is built for the start
+    # and for each adopted candidate, not for each of the scanned words.
+    built = []
+    check = OwlString.__post_init__
+
+    def counting(self):
+        built.append(len(self))
+        check(self)
+
+    monkeypatch.setattr(OwlString, "__post_init__", counting)
+    target = sequence.build_sequence(3)[3]
+    # subset:3 adopts nothing after a full ext-len-2 scan; broken:3:2 adopts once.
+    for spec, history in (("subset:3", (4,)), ("broken:3:2", (4, 3))):
+        built.clear()
+        cert = descend_generic(cli.load_machine(spec), target, max_ext_len=2)
+        assert cert.size_history == history
+        assert len(built) <= len(history) + 2
+
+
 def reference_descent(m, target, max_ext_len, side, start):
     """descend_generic with the extensions listed by brute force and every
     candidate sized by running every state of m over the whole of y + e:
@@ -377,7 +407,8 @@ def reference_descent(m, target, max_ext_len, side, start):
     history = [size]
     rounds = 0
     gens = default_generators(target.h)
-    extensions = brute_force_extensions(gens, max_ext_len, target, side)
+    words = brute_force_extensions(gens, max_ext_len, target, side)
+    extensions = [OwlString.make(target.h, word) for word in words]
     while rounds < len(m.states) and size > 0:
         improved = False
         for ext in extensions:

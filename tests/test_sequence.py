@@ -52,11 +52,25 @@ def test_cell_index_covers_upper_triangle():
         assert all(i < j for i, j in seen)
 
 
+def test_cell_index_matches_the_column_walk():
+    # cell_index finds the column in closed form; walking the columns from h
+    # down is the definition.
+    for h in range(1, 65):
+        t = 0
+        for j in range(h, 1, -1):
+            for i in range(j - 1, 0, -1):
+                t += 1
+                assert cell_index(t, h) == (i, j), (t, h)
+        assert t == num_upper(h)
+
+
 def test_cell_index_range_errors():
     with pytest.raises(ValueError):
         cell_index(0, 5)
     with pytest.raises(ValueError):
         cell_index(11, 5)
+    with pytest.raises(ValueError, match=r"t=1 outside stage 1 range \[1, 0\] for h=1"):
+        cell_index(1, 1)
 
 
 def test_stage2_column():
