@@ -222,17 +222,18 @@ def _extensions(
                 covers[k][low.bit_length() - 1] |= bits
                 b ^= low
 
-    def settle(prod: BoolMatrix) -> int:
-        """The generators g with prod * C(g) * right == target, as a bitset."""
+    def settle(prod: tuple[int, ...]) -> int:
+        """The generators g with P * C(g) * right == target, as a bitset,
+        for the prefix product P with rows `prod`."""
         ok = (1 << len(gens)) - 1
         for k in range(h):
             inside = full
-            for p, t in zip(prod.rows, target.rows):
+            for p, t in zip(prod, target.rows):
                 if p >> k & 1:
                     inside &= t
             if inside != full:
                 ok &= sum(bits for b, bits in rows_of[k] if not b & ~inside)
-        for p, t in zip(prod.rows, target.rows):
+        for p, t in zip(prod, target.rows):
             while t and ok:
                 low = t & -t
                 c = low.bit_length() - 1
@@ -247,8 +248,10 @@ def _extensions(
         return ok
 
     mats = [owl.symbol_matrix(g) for g in gens] if max_ext_len > 1 else []
-    last_letters = {}  # prefix product -> the generators that end an in-property word
-    frontier = [((), left)]
+    # Prefix products stay row tuples: they key last_letters and feed the
+    # product kernel, and are never wrapped as matrices.
+    last_letters = {}  # prefix product rows -> the generators that end an in-property word
+    frontier = [((), left.rows)]
     for length in range(1, max_ext_len + 1):
         nxt = []
         for word, prod in frontier:
@@ -260,7 +263,7 @@ def _extensions(
                 yield word + (gens[low.bit_length() - 1],)
                 ok ^= low
             if length < max_ext_len:
-                nxt.extend((word + (g,), matrix.multiply(prod, c)) for g, c in zip(gens, mats))
+                nxt.extend((word + (g,), matrix._product_rows(prod, c)) for g, c in zip(gens, mats))
         frontier = nxt
 
 

@@ -25,7 +25,8 @@ class _RowMemo(dict):
     pick out, so a miss is the row minus its lowest bit (looked up, and filled
     in the same way if missing too) ORed with one row. Chain matrices' rows
     share their tails, so a miss mostly costs one or two ORs, not one per set
-    bit, and `multiply` maps the lookup over the left rows in C. On
+    bit, and `_product_rows` maps the lookup over the left rows in C. The
+    zero row is stored up front, so a miss always has a lowest bit. On
     verify_sequence at h = 40, 48, 56 and 64 (10 alternating fresh-process
     pairs, 2-vCPU x86 host, CPython 3.11) this product path, with `_trusted`
     below, took the median CPU time from 3.02 s to 2.06 s; the one before it
@@ -37,10 +38,11 @@ class _RowMemo(dict):
 
     def __init__(self, brows: tuple[int, ...]) -> None:
         self.brows = brows
+        self[0] = 0
 
     def __missing__(self, row: int) -> int:
         low = row & -row
-        acc = self[row ^ low] | self.brows[low.bit_length() - 1] if row else 0
+        acc = self[row ^ low] | self.brows[low.bit_length() - 1]
         self[row] = acc
         return acc
 
@@ -71,11 +73,15 @@ class BoolMatrix:
 
     def __post_init__(self) -> None:
         _check_h(self.h)
-        if len(self.rows) != self.h:
-            raise ValueError(f"expected {self.h} rows, got {len(self.rows)}")
-        if min(self.rows) < 0 or max(self.rows) >> self.h:
+        rows = tuple(self.rows)
+        if len(rows) != self.h:
+            raise ValueError(f"expected {self.h} rows, got {len(rows)}")
+        if set(map(type, rows)) != {int}:  # bools too, as in _check_h
+            raise ValueError(f"rows must be ints, got {rows!r}")
+        if min(rows) < 0 or max(rows) >> self.h:
             raise ValueError("row has bits outside the matrix dimension")
-        object.__setattr__(self, "_prod_rows", _RowMemo(self.rows))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_prod_rows", _RowMemo(rows))
 
     def get(self, i: int, j: int) -> int:
         """Cell (i, j), 1-based."""
@@ -118,7 +124,7 @@ class BoolMatrix:
             if not (1 <= i <= h and 1 <= j <= h):
                 raise ValueError(f"cell ({i},{j}) out of range for h={h}")
             rows[i - 1] |= 1 << (j - 1)
-        return cls(h, tuple(rows))
+        return _trusted(h, tuple(rows))
 
     def row_hex(self) -> list[str]:
         """Rows as fixed-width hex masks, for JSON export."""
@@ -128,26 +134,27 @@ class BoolMatrix:
 
 def identity(h: int) -> BoolMatrix:
     _check_h(h)
-    return BoolMatrix(h, tuple(1 << i for i in range(h)))
+    return _trusted(h, tuple(1 << i for i in range(h)))
 
 
 def zero(h: int) -> BoolMatrix:
     _check_h(h)
-    return BoolMatrix(h, (0,) * h)
+    return _trusted(h, (0,) * h)
 
 
 def all_ones(h: int) -> BoolMatrix:
     _check_h(h)
-    return BoolMatrix(h, ((1 << h) - 1,) * h)
+    return _trusted(h, ((1 << h) - 1,) * h)
 
 
 def _trusted(h: int, rows: tuple[int, ...]) -> BoolMatrix:
-    """A BoolMatrix whose rows are known to fit h: products and sums of
-    valid matrices. Skips __post_init__'s validation."""
+    """A BoolMatrix whose rows are known to be ints that fit h: products and
+    sums of valid matrices, and rows built here from a checked height and
+    cells. Skips __post_init__'s validation, and fills the frozen fields in
+    one dict update rather than three object.__setattr__ calls: a fold over
+    random symbols builds one of these per step."""
     m = object.__new__(BoolMatrix)
-    object.__setattr__(m, "h", h)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "_prod_rows", _RowMemo(rows))
+    m.__dict__.update(h=h, rows=rows, _prod_rows=_RowMemo(rows))
     return m
 
 
@@ -156,13 +163,22 @@ def _require_same_h(a, b) -> None:
         raise ValueError(f"dimension mismatch: {a.h} vs {b.h}")
 
 
-def multiply(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Boolean matrix product: cell (i,j) = OR_k a(i,k) AND b(k,j)."""
-    _require_same_h(a, b)
+def _product_rows(rows: tuple[int, ...], b: BoolMatrix) -> tuple[int, ...]:
+    """The rows of the product of a matrix with these rows and b: the one
+    product kernel. Callers that only fold or compare products keep the row
+    tuples and skip building a BoolMatrix per step; the heights are theirs
+    to match."""
     memo = b._prod_rows
     if len(memo) > _MEMO_CAP:
         memo.clear()
-    return _trusted(a.h, tuple(map(memo.__getitem__, a.rows)))
+        memo[0] = 0
+    return tuple(map(memo.__getitem__, rows))
+
+
+def multiply(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
+    """Boolean matrix product: cell (i,j) = OR_k a(i,k) AND b(k,j)."""
+    _require_same_h(a, b)
+    return _trusted(a.h, _product_rows(a.rows, b))
 
 
 def add(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:

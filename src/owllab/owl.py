@@ -88,6 +88,7 @@ class OwlString:
 
     def __post_init__(self) -> None:
         matrix._check_h(self.h)
+        object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
             if s.h != self.h:
                 raise ValueError(f"symbol of height {s.h} in string of height {self.h}")
@@ -141,15 +142,15 @@ class OwlString:
 
 
 def identity_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol(h, [(i, i) for i in range(1, h + 1)])
+    return representative_symbol(matrix.identity(h))
 
 
 def empty_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol(h, [])
+    return representative_symbol(matrix.zero(h))
 
 
 def full_symbol(h: int) -> OwlSymbol:
-    return OwlSymbol(h, [(i, j) for i in range(1, h + 1) for j in range(1, h + 1)])
+    return representative_symbol(matrix.all_ones(h))
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,27 +172,30 @@ def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     return matrix._trusted(a.h, a.rows)
 
 
-def _fold(z: OwlString, stop_at_zero: bool) -> BoolMatrix:
-    """Product of z's symbol matrices from the first symbol on; identity for
-    the empty string. With stop_at_zero it returns the first zero product."""
+def _fold(z: OwlString, stop_at_zero: bool) -> tuple[int, ...]:
+    """Rows of the product of z's symbol matrices from the first symbol on;
+    the identity's for the empty string. With stop_at_zero it returns the
+    first zero product. The running product stays a row tuple, so no
+    BoolMatrix is built per step."""
     if not z.symbols:
-        return matrix.identity(z.h)
+        return matrix.identity(z.h).rows
     syms = iter(z.symbols)
-    c = symbol_matrix(next(syms))
+    rows = next(syms).rows
+    product_rows = matrix._product_rows
     for s in syms:
-        if stop_at_zero and c.is_zero():
+        if stop_at_zero and not any(rows):
             break
-        c = matrix.multiply(c, symbol_matrix(s))
-    return c
+        rows = product_rows(rows, symbol_matrix(s))
+    return rows
 
 
 def connectivity(z: OwlString) -> BoolMatrix:
     """End-to-end path-existence matrix; multiplicative under concatenation."""
-    return _fold(z, stop_at_zero=False)
+    return matrix._trusted(z.h, _fold(z, stop_at_zero=False))
 
 
 def is_live(z: OwlString) -> bool:
-    return not _fold(z, stop_at_zero=True).is_zero()
+    return any(_fold(z, stop_at_zero=True))
 
 
 def nfa_live(z: OwlString) -> bool:

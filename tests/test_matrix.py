@@ -280,3 +280,72 @@ def test_constructor_still_validates():
         BoolMatrix(64, (1 << 64,) + (0,) * 63)
     with pytest.raises(ValueError):
         BoolMatrix(True, (1,))  # a bool is no height
+
+
+def test_constructor_stores_a_list_as_a_tuple():
+    a = BoolMatrix(2, [1, 2])
+    assert type(a.rows) is tuple
+    assert a == identity(2) and identity(2) == a
+    assert hash(a) == hash(identity(2))
+    b = random_matrix(random.Random(13), 2)
+    assert multiply(identity(2), a) == identity(2)
+    assert multiply(a, b) == b and multiply(b, a) == b
+    assert BoolMatrix(3, iter([1, 0, 4])) == BoolMatrix.from_text("100\n000\n001\n")
+
+
+def test_constructor_refuses_rows_that_are_not_ints():
+    for rows in ((1.5, 0), ("a", "b"), (True, 0), (1, False), (1, None)):
+        with pytest.raises(ValueError, match="rows must be ints"):
+            BoolMatrix(2, rows)
+
+
+def naive_product_rows(rows, b):
+    """OR of b's rows picked out by each left row's bits, one bit at a time."""
+    out = []
+    for row in rows:
+        acc = 0
+        for k in range(b.h):
+            if row >> k & 1:
+                acc |= b.rows[k]
+        out.append(acc)
+    return tuple(out)
+
+
+def test_product_rows_matches_the_naive_product():
+    rng = random.Random(14)
+    for h in (1, 2, 7, 16, 64):
+        for _ in range(20):
+            a, b = random_matrix(rng, h), random_matrix(rng, h)
+            # Zero rows on the left, and a right operand with zero rows.
+            a_rows = tuple(r if rng.random() < 0.7 else 0 for r in a.rows)
+            b = BoolMatrix(h, tuple(r if rng.random() < 0.7 else 0 for r in b.rows))
+            got = matrix._product_rows(a_rows, b)
+            assert type(got) is tuple
+            assert got == naive_product_rows(a_rows, b), h
+            assert multiply(BoolMatrix(h, a_rows), b).rows == got
+        assert matrix._product_rows((0,) * h, b) == (0,) * h
+
+
+def test_memo_stores_the_zero_row_when_built():
+    rng = random.Random(15)
+    for h in (1, 16, 64):
+        a, b = random_matrix(rng, h), random_matrix(rng, h)
+        for m in (a, multiply(a, b), add(a, b), identity(h)):
+            assert dict(m._prod_rows) == {0: 0}
+
+
+def test_product_rows_past_the_memo_cap():
+    rng = random.Random(16)
+    h = 16
+    b = random_matrix(rng, h)
+    memo = b._prod_rows
+    clears = 0
+    for _ in range(400):
+        rows = tuple(rng.getrandbits(h) if rng.random() < 0.8 else 0 for _ in range(h))
+        before = len(memo)
+        assert matrix._product_rows(rows, b) == naive_product_rows(rows, b)
+        if len(memo) < before:
+            clears += 1
+            assert dict.get(memo, 0, None) == 0  # stored again after the clear
+    assert clears >= 1
+    assert len(memo) <= matrix._MEMO_CAP + h * h

@@ -330,3 +330,58 @@ def test_json_is_stable():
     z = OwlString.make(2, [full_symbol(2), identity_symbol(2)])
     assert json.loads(z.dumps()) == z.to_json()
     assert z.dumps() == OwlString.loads(z.dumps()).dumps()
+
+
+def test_named_symbols_equal_their_edge_list_forms():
+    for h in (1, 2, 3, 7, 16, 64):
+        nodes = range(1, h + 1)
+        assert identity_symbol(h) == OwlSymbol(h, [(i, i) for i in nodes])
+        assert empty_symbol(h) == OwlSymbol(h, [])
+        assert full_symbol(h) == OwlSymbol(h, [(i, j) for i in nodes for j in nodes])
+        assert type(identity_symbol(h).rows) is tuple
+    for make in (identity_symbol, empty_symbol, full_symbol):
+        for bad in (0, 65, True):
+            with pytest.raises(ValueError):
+                make(bad)
+
+
+def test_string_stores_a_list_as_a_tuple():
+    s, t = identity_symbol(2), full_symbol(2)
+    z = OwlString(2, [s])
+    assert type(z.symbols) is tuple
+    assert z == OwlString.make(2, [s])
+    assert hash(z) == hash(OwlString.make(2, [s]))
+    assert (z + OwlString(2, [t])).symbols == (s, t)
+    assert z.repeat(2) == OwlString.make(2, [s, s])
+
+
+def fold_of_multiply(z):
+    """Connectivity as a left fold of `matrix.multiply` over symbol matrices."""
+    c = matrix.identity(z.h)
+    for s in z.symbols:
+        c = matrix.multiply(c, BoolMatrix(z.h, s.rows))
+    return c
+
+
+def test_folds_match_a_left_fold_of_multiply():
+    rng = random.Random(17)
+    dies_early = 0
+    for h in (1, 2, 3, 5, 16):
+        for _ in range(60):
+            n = rng.randint(0, 8)
+            # Sparse symbols, so that many products reach zero before the end.
+            syms = [
+                OwlSymbol.from_mask(h, rng.getrandbits(h * h) & rng.getrandbits(h * h))
+                for _ in range(n)
+            ]
+            z = OwlString.make(h, syms)
+            want = fold_of_multiply(z)
+            assert connectivity(z) == want
+            assert is_live(z) == (not want.is_zero()) == nfa_live(z)
+            prefix = OwlString.make(h, syms[: n // 2])
+            dies_early += n > 1 and fold_of_multiply(prefix).is_zero()
+    assert dies_early > 0
+    for h in (1, 4, 64):
+        empty = OwlString.make(h)
+        assert connectivity(empty) == matrix.identity(h) == fold_of_multiply(empty)
+        assert is_live(empty)

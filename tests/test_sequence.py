@@ -177,6 +177,26 @@ def test_rank_one_checks_catch_a_wrong_outer(monkeypatch):
     assert d_fails == [f"D'_{t} != outer (h=6)" for t in range(16, 21)]
 
 
+def test_product_checks_catch_a_wrong_product_row(monkeypatch):
+    # Every product check compares the kernel's rows, so a kernel that sets
+    # one wrong bit fails checks without changing how many run. The sampled
+    # contracts are left out: their witnesses refuse a wrong product outright.
+    checks = verify_sequence(6, oracle_samples=0).checks_run
+    product_rows = matrix._product_rows
+
+    def wrong(rows, b):
+        out = product_rows(rows, b)
+        return out[:-1] + (out[-1] ^ 1,)
+
+    monkeypatch.setattr(matrix, "_product_rows", wrong)
+    rep = verify_sequence(6, oracle_samples=0)
+    assert rep.checks_run == checks
+    assert not rep.ok
+    for label in ("C_0^2 != C_0 (h=6)", "C_0C_1 != C_1 (h=6)", "(E'_1)^2 != 0 (h=6)",
+                  "(D'_16)^2 != D'_16 (h=6)", "C_15D'_16 != D'_16 (h=6)"):
+        assert label in rep.failures
+
+
 def test_nothing_is_retained_between_calls():
     seq, ep = build_sequence(8), e_prime(3, 8)
     refs = [weakref.ref(seq), weakref.ref(seq[5]), weakref.ref(ep)]
