@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, adversary, exits, owl, sequence, tdfa
 from .matrix import BoolMatrix
@@ -72,8 +73,59 @@ def _emit(report: dict, args) -> None:
     if args.format == "pretty":
         _pretty(report, sys.stdout)
     else:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        _write_json(report, sys.stdout)
+
+
+_FLUSH_PARTS = 4096  # parts held before a write, so a large report is never held whole
+_ints_only = frozenset((int,)).issuperset  # of an iterable of types, without a Python loop
+
+
+def _write_json(obj, stream) -> None:
+    """Writes obj and a newline as json.dump(obj, stream, sort_keys=True,
+    indent=2) would. With an indent, json never uses its C encoder; this
+    writes str keys only and raises TypeError on anything else JSON lacks."""
+    parts = []
+
+    def put(o, nl: str) -> None:
+        if len(parts) >= _FLUSH_PARTS:
+            stream.write("".join(parts))
+            parts.clear()
+        t = type(o)
+        if t is str:
+            parts.append(encode_basestring_ascii(o))
+        elif t is int:
+            parts.append(int.__repr__(o))
+        elif t is dict:
+            inner = nl + "  "
+            sep = "{" + inner
+            for k in sorted(o):  # encode_basestring_ascii raises TypeError on a non-str key
+                parts.extend((sep, encode_basestring_ascii(k), ": "))
+                put(o[k], inner)
+                sep = "," + inner
+            parts.append(nl + "}" if o else "{}")
+        elif t is list or t is tuple:
+            inner = nl + "  "
+            if not o:
+                parts.append("[]")
+            elif _ints_only(map(type, o)):
+                parts.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            else:
+                sep = "[" + inner
+                for x in o:
+                    parts.append(sep)
+                    put(x, inner)
+                    sep = "," + inner
+                parts.append(nl + "]")
+        elif o is None or t is bool:
+            parts.append("null" if o is None else "true" if o else "false")
+        elif t is float:
+            parts.append(json.dumps(o))
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    put(obj, "\n")
+    parts.append("\n")
+    stream.write("".join(parts))
 
 
 def _pretty(obj, stream, indent=0) -> None:

@@ -8,6 +8,7 @@ genericity descent below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -187,33 +188,59 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(sorted(syms, key=OwlSymbol.sort_key))
 
 
+@dataclass(frozen=True)
+class _Alphabet:
+    """A generator list indexed by rows: `rows[k]` pairs each value r that
+    row k of some generator takes with the generators whose row k is r, as
+    a bitset of their positions in `symbols`. It depends only on the list,
+    so the descent builds it once per height (`_alphabet`)."""
+
+    symbols: tuple[OwlSymbol, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, generators) -> _Alphabet:
+        symbols = tuple(generators)
+        heights = {g.h for g in symbols}
+        if len(heights) != 1:
+            raise ValueError(f"generators must be non-empty and of one height, got {sorted(heights)}")
+        positions = [{} for _ in range(heights.pop())]
+        for pos, g in enumerate(symbols):
+            for k, r in enumerate(g.rows):
+                positions[k][r] = positions[k].get(r, 0) | 1 << pos
+        return cls(symbols, tuple(tuple(by_value.items()) for by_value in positions))
+
+
+@functools.lru_cache(maxsize=8)
+def _alphabet(h: int) -> _Alphabet:
+    """The alphabet of `default_generators(h)`, built once per height."""
+    return _Alphabet.of(default_generators(h))
+
+
 def _extensions(
-    generators, max_ext_len: int, left: BoolMatrix, right: BoolMatrix, target: BoolMatrix
+    alphabet: _Alphabet, max_ext_len: int, left: BoolMatrix, right: BoolMatrix, target: BoolMatrix
 ):
     """In-property extension words, as symbol tuples: those e with
     left * C(e) * right == target, by length, then lexicographically in the
-    order of `generators` (a generator listed twice gives its words twice).
+    order of `alphabet.symbols` (a generator listed twice gives its words
+    twice).
 
     A word is seen only through its prefix product P = left * C(prefix) and
     its last letter g. With B = C(g) * right, P * B == target exactly when
     (1) every row k of B lies inside U_k, the AND of the target rows i whose
     P row contains k, and (2) every column c of target row i is in row k of
     B for some k in P's row i. Row k of B depends only on g's row k, so both
-    tests read bitsets over the generator positions, built once per call,
-    and each distinct prefix product is settled with a few ANDs and ORs.
+    tests read bitsets over the generator positions: the alphabet's, mapped
+    through `right` once per call. Each distinct prefix product is then
+    settled with a few ANDs and ORs.
     """
     h = target.h
-    gens = tuple(generators)
+    gens = alphabet.symbols
     full = (1 << h) - 1
-    # positions[k][r]: the generators whose row k is r, as a bitset of positions.
-    positions = [{} for _ in range(h)]
-    for pos, g in enumerate(gens):
-        for k, r in enumerate(g.rows):
-            positions[k][r] = positions[k].get(r, 0) | 1 << pos
-    image = {r: matrix.vec_mat(r, right) for rows in positions for r in rows}
+    image = {r: matrix.vec_mat(r, right) for pairs in alphabet.rows for r, _ in pairs}
     # rows_of[k]: (row k of B, generators giving it); covers[k][c-1]: the
     # generators whose row k of B has column c.
-    rows_of = [[(image[r], bits) for r, bits in by_value.items()] for by_value in positions]
+    rows_of = [[(image[r], bits) for r, bits in pairs] for pairs in alphabet.rows]
     covers = [[0] * h for _ in range(h)]
     for k, pairs in enumerate(rows_of):
         for b, bits in pairs:
@@ -285,7 +312,7 @@ def descend_generic(
     h = target.h
     if h != m.h:
         raise ValueError(f"target height {h} does not match machine height {m.h}")
-    generators = default_generators(h)
+    alphabet = _alphabet(h)
     if max_rounds is None:
         max_rounds = len(m.states)
     y = start if start is not None else owl.representative(target)
@@ -304,7 +331,7 @@ def descend_generic(
     while rounds < max_rounds and exit_states:
         improved = False
         base = y.symbols
-        for ext in _extensions(generators, max_ext_len, left, right, target):
+        for ext in _extensions(alphabet, max_ext_len, left, right, target):
             if side == LR:
                 tape, entry = base + ext, len(base) + 1
             else:
@@ -324,7 +351,7 @@ def descend_generic(
         side=side,
         exit_size=len(exit_states),
         size_history=tuple(history),
-        generator_count=len(generators),
+        generator_count=len(alphabet.symbols),
         max_ext_len=max_ext_len,
         rounds_searched=rounds,
     )

@@ -1,5 +1,6 @@
 """End-to-end tests for the `owl` command-line interface."""
 
+import io
 import json
 import os
 import random
@@ -391,6 +392,99 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert blob["config"]["side"] == "lr"
     assert "timing_s" in blob
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _every_subcommand(tmp_path):
+    """One JSON-reporting argv per subcommand."""
+    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    path = write_string(tmp_path, z)
+    return [
+        ["seq", "--height", "3"],
+        ["verify-seq", "--height", "4"],
+        ["run", "--machine", "subset:2", "--input", path, "--trace"],
+        ["exits", "--machine", "subset:2", "--input", path, "--side", "rl"],
+        ["generic", "--machine", "broken:3:2", "--conn", "3", "--max-ext-len", "2"],
+        ["chain", "--machine", "broken:4:2"],
+        ["pump", "--machine", "accept_all:3", "--index", "6"],
+        ["fuzz", "--machine", "broken:3:1", "--samples", "50"],
+    ]
+
+
+def _assert_plain_json(obj):
+    """Only str keys and the exact types the report writer handles."""
+    if type(obj) is dict:
+        for k, v in obj.items():
+            assert type(k) is str, k
+            _assert_plain_json(v)
+    elif type(obj) in (list, tuple):
+        for v in obj:
+            _assert_plain_json(v)
+    else:
+        assert obj is None or type(obj) in (str, int, float, bool), obj
+
+
+@pytest.mark.parametrize("timing", [[], ["--no-timing"]])
+def test_reports_are_the_bytes_json_writes(capsys, tmp_path, monkeypatch, timing):
+    argvs = _every_subcommand(tmp_path)
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(argv[0] for argv in argvs) == sorted(choices)
+    reports = []
+    write = cli._write_json
+
+    def recording(obj, stream):
+        reports.append(obj)
+        write(obj, stream)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *timing, *argv)
+        assert code in (0, 1), argv
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+        assert ("timing_s" in json.loads(out)) == (not timing)
+    assert len(reports) == len(argvs)
+    for report in reports:
+        _assert_plain_json(report)
+
+
+WRITER_EDGE_VALUES = {
+    "ascii": "plain",
+    "non-ascii \u00e9": ["h\u00e9llo", "\u2603", "\U0001f989", "\ud800"],
+    "control": "tab\there\nnl \x00 \x1f \x7f \"q\" \\ /",
+    "empty": {"dict": {}, "list": [], "tuple": (), "nested": {"a": {}, "b": [[]], "c": [{}, ()]}},
+    "constants": [True, False, 1, 0, None, [True, 1], [0, False]],
+    "floats": [0.0, -0.0, 1.5, 0.1, 1e300, 1e-300, float("nan"), float("inf"), float("-inf")],
+    "tuples": (1, (2, 3), ("x", None)),
+    "ints": [-1, 0, 2**63 - 1, 2**64, -(2**70), [-5, 7]],
+    "mixed": [1, "a", [1, 2], {"z": 1, "a": [True], "M": 2.5}],
+    "": "empty key",
+}
+
+
+@pytest.mark.parametrize("value", list(WRITER_EDGE_VALUES.values()) + [WRITER_EDGE_VALUES])
+def test_writer_matches_json_on_edge_values(value):
+    buf = io.StringIO()
+    cli._write_json(value, buf)
+    assert buf.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_streams_large_reports():
+    class Writes(list):
+        write = list.append
+
+    value = {"rows": [{"k": i, "v": [i, -i]} for i in range(20000)]}
+    writes = Writes()
+    cli._write_json(value, writes)
+    assert len(writes) > 1
+    assert "".join(writes) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {"a": {None: 1}}, {("k",): 1}, {"a": 1, 2: 2}, {1, 2}, b"bytes", object(), 1j, [1, {2.5}]],
+)
+def test_writer_refuses_non_str_keys_and_non_json_types(value):
+    with pytest.raises(TypeError):
+        cli._write_json(value, io.StringIO())
 
 
 def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from owllab import cli, exits, matrix, owl, sequence, tdfa
+from owllab import adversary, cli, exits, matrix, owl, sequence, tdfa
 from owllab.exits import (
     LR,
     RL,
@@ -303,7 +303,7 @@ def brute_force_extensions(generators, max_ext_len, target, side):
 def filtered_extensions(generators, max_ext_len, target, side):
     ident = matrix.identity(target.h)
     left, right = (target, ident) if side == LR else (ident, target)
-    return list(exits._extensions(generators, max_ext_len, left, right, target))
+    return list(exits._extensions(exits._Alphabet.of(generators), max_ext_len, left, right, target))
 
 
 def assert_filter_matches(generators, max_ext_len, target):
@@ -365,6 +365,39 @@ def test_extensions_of_length_zero_are_none():
     target = sequence.build_sequence(2)[1]
     for side in (LR, RL):
         assert filtered_extensions(owl.all_symbols(2), 0, target, side) == []
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 8])
+def test_alphabet_is_the_default_generators(h):
+    alphabet = exits._alphabet(h)
+    assert alphabet.symbols == default_generators(h)
+    assert alphabet is exits._alphabet(h)
+
+
+def test_alphabet_rows_index_generator_positions():
+    ident, full = owl.identity_symbol(2), owl.full_symbol(2)
+    gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident)
+    alphabet = exits._Alphabet.of(gens)
+    assert alphabet.symbols == gens
+    for k, pairs in enumerate(alphabet.rows):
+        assert type(pairs) is tuple
+        want = {}
+        for pos, g in enumerate(gens):
+            want[g.rows[k]] = want.get(g.rows[k], 0) | 1 << pos
+        assert dict(pairs) == want and len(pairs) == len(want)
+    with pytest.raises(ValueError):
+        exits._Alphabet.of(())
+    with pytest.raises(ValueError):
+        exits._Alphabet.of((ident, owl.identity_symbol(3)))
+
+
+def test_exit_chain_builds_the_alphabet_once():
+    exits._alphabet.cache_clear()
+    report = adversary.exit_chain(cli.load_machine("broken:4:2"), max_ext_len=1)
+    info = exits._alphabet.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+    # Both sides at every chain step fetch the one h = 4 alphabet.
+    assert info.hits + info.misses == 2 * len(report.entries)
 
 
 @pytest.mark.parametrize(
