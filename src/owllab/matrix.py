@@ -200,7 +200,8 @@ def _check_vector(bits: int, h: int) -> None:
 def outer(col: int, row: int, h: int) -> BoolMatrix:
     """Rank-one product of a column and a row, both bit-packed like a row."""
     _check_vector(col, h)
-    return BoolMatrix(h, tuple(row if col >> i & 1 else 0 for i in range(h)))
+    _check_vector(row, h)
+    return _trusted(h, tuple(row if col >> i & 1 else 0 for i in range(h)))
 
 
 def mat_vec(a: BoolMatrix, col: int) -> int:

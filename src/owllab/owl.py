@@ -164,38 +164,60 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
 
 
 # Room for the whole h = 3 alphabet (512 symbols, whose matrices every scan
-# for extensions longer than one letter multiplies by again); single-use
-# random symbols only churn through it.
+# for extensions longer than one letter multiplies by again). Connectivity
+# folds look up each symbol after the first here, so a repeated symbol keeps
+# its product memo across calls; is_live never looks anything up.
 @functools.lru_cache(maxsize=4096)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""
     return matrix._trusted(a.h, a.rows)
 
 
-def _fold(z: OwlString, stop_at_zero: bool) -> tuple[int, ...]:
-    """Rows of the product of z's symbol matrices from the first symbol on;
-    the identity's for the empty string. With stop_at_zero it returns the
-    first zero product. The running product stays a row tuple, so no
-    BoolMatrix is built per step."""
+def connectivity(z: OwlString) -> BoolMatrix:
+    """End-to-end path-existence matrix; multiplicative under concatenation.
+    The running product stays a row tuple, so no BoolMatrix is built per
+    step; the empty string's is the identity."""
     if not z.symbols:
-        return matrix.identity(z.h).rows
+        return matrix.identity(z.h)
     syms = iter(z.symbols)
     rows = next(syms).rows
     product_rows = matrix._product_rows
     for s in syms:
-        if stop_at_zero and not any(rows):
-            break
         rows = product_rows(rows, symbol_matrix(s))
-    return rows
-
-
-def connectivity(z: OwlString) -> BoolMatrix:
-    """End-to-end path-existence matrix; multiplicative under concatenation."""
-    return matrix._trusted(z.h, _fold(z, stop_at_zero=False))
+    return matrix._trusted(z.h, rows)
 
 
 def is_live(z: OwlString) -> bool:
-    return any(_fold(z, stop_at_zero=True))
+    """Whether the product of z's symbol matrices is nonzero.
+
+    Carries the set of distinct nonzero rows of the running product: each
+    step maps every row to the OR of the next symbol's rows that its bits
+    pick out and drops 0. Equal rows have equal products, so the set never
+    holds more than h rows, and it is empty exactly when the product is
+    zero. The empty string is live (its product is the identity).
+    Independent of connectivity() and nfa_live(); all three must agree.
+    """
+    syms = iter(z.symbols)
+    first = next(syms, None)
+    if first is None:
+        return True
+    live = set(first.rows)
+    live.discard(0)
+    for s in syms:
+        if not live:
+            return False
+        rows = s.rows
+        nxt = set()
+        for row in live:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= rows[low.bit_length() - 1]
+                row ^= low
+            nxt.add(acc)
+        nxt.discard(0)
+        live = nxt
+    return bool(live)
 
 
 def nfa_live(z: OwlString) -> bool:

@@ -55,10 +55,11 @@ def _tail_bits(j: int, h: int) -> int:
 def e_prime(t: int, h: int) -> BoolMatrix:
     """The t-th cell plus all cells to its right in the same row; built
     without `outer`, which verify_sequence checks it against."""
+    matrix._check_h(h)
     i, j = cell_index(t, h)
     rows = [0] * h
     rows[i - 1] = _tail_bits(j, h)
-    return BoolMatrix(h, tuple(rows))
+    return matrix._trusted(h, tuple(rows))
 
 
 def stage2_column(t: int, h: int) -> int:
@@ -78,8 +79,9 @@ def d_matrix(t: int, h: int) -> BoolMatrix:
 def d_prime(t: int, h: int) -> BoolMatrix:
     """All-ones columns from the stage-2 column rightward; built without
     `outer`, like e_prime."""
+    matrix._check_h(h)
     j = stage2_column(t, h)
-    return BoolMatrix(h, (_tail_bits(j, h),) * h)
+    return matrix._trusted(h, (_tail_bits(j, h),) * h)
 
 
 @dataclass(frozen=True)

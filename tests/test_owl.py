@@ -385,3 +385,74 @@ def test_folds_match_a_left_fold_of_multiply():
         empty = OwlString.make(h)
         assert connectivity(empty) == matrix.identity(h) == fold_of_multiply(empty)
         assert is_live(empty)
+
+
+def _liveness_cases(rng, h):
+    """Seeded strings for the liveness oracles: the empty string, dense and
+    sparse random strings, permutation strings (whose products keep h
+    distinct nonzero rows), and strings that die at their first or at their
+    last symbol."""
+
+    def dense():
+        return OwlSymbol.from_mask(h, rng.getrandbits(h * h))
+
+    def sparse():
+        bits = rng.getrandbits
+        return OwlSymbol.from_mask(h, bits(h * h) & bits(h * h) & bits(h * h))
+
+    def permutation():
+        cols = list(range(1, h + 1))
+        rng.shuffle(cols)
+        return OwlSymbol(h, [(i, j) for i, j in enumerate(cols, 1)])
+
+    cases = [OwlString.make(h)]
+    for make in (dense, sparse, permutation):
+        for n in (1, 2, 5, 12):
+            cases.append(OwlString.make(h, [make() for _ in range(n)]))
+    for _ in range(4):
+        tail = [dense() for _ in range(rng.randint(0, 4))]
+        cases.append(OwlString.make(h, [empty_symbol(h)] + tail))
+        # A prefix whose product reaches only some columns, then a last
+        # symbol whose rows are empty exactly at those columns.
+        narrow = rng.getrandbits(h) | 1
+        funnel = owl._trusted(h, tuple(rng.getrandbits(h) & narrow or 1 for _ in range(h)))
+        prefix = [dense(), permutation(), funnel, permutation()]
+        reached = 0
+        for row in connectivity(OwlString.make(h, prefix)).rows:
+            reached |= row
+        last = tuple(0 if reached >> k & 1 else rng.getrandbits(h) for k in range(h))
+        cases.append(OwlString.make(h, prefix + [owl._trusted(h, last)]))
+    return cases
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 16, 64])
+def test_is_live_matches_connectivity_and_nfa_live(h):
+    rng = random.Random(1000 + h)
+    cases = _liveness_cases(rng, h)
+    widest = dies_first = dies_last = 0
+    for z in cases:
+        c = connectivity(z)
+        assert is_live(z) == (not c.is_zero()) == nfa_live(z)
+        widest = max(widest, len(set(c.rows) - {0}))
+        if z.symbols:
+            dies_first += z.symbols[0] == empty_symbol(h)
+            head = OwlString.make(h, z.symbols[:-1])
+            dies_last += is_live(head) and not is_live(z) and z.symbols[-1] != empty_symbol(h)
+    assert is_live(cases[0])
+    assert widest == h
+    assert dies_first >= 4
+    assert dies_last > 0 or h == 1
+
+
+@pytest.mark.parametrize("target", ["matrix._product_rows", "owl.symbol_matrix", "owl.nfa_live"])
+def test_is_live_uses_neither_the_kernel_nor_the_other_oracle(monkeypatch, target):
+    rng = random.Random(7)
+    cases = [z for h in (1, 2, 3, 16, 64) for z in _liveness_cases(rng, h)]
+    want = [not connectivity(z).is_zero() for z in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"is_live called {target}")
+
+    module, name = target.split(".")
+    monkeypatch.setattr({"matrix": matrix, "owl": owl}[module], name, refuse)
+    assert [is_live(z) for z in cases] == want

@@ -73,6 +73,15 @@ def test_cell_index_range_errors():
         cell_index(1, 1)
 
 
+def test_widened_increments_refuse_heights_past_the_cap():
+    # Both build their matrices on the trusted path; t is valid here, so
+    # only the height check stands between them and a 65-row matrix.
+    with pytest.raises(ValueError, match="dimension"):
+        e_prime(1, 65)
+    with pytest.raises(ValueError, match="dimension"):
+        d_prime(num_upper(65) + 1, 65)
+
+
 def test_stage2_column():
     assert stage2_column(11, 5) == 4
     assert stage2_column(12, 5) == 3
