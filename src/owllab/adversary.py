@@ -75,8 +75,8 @@ class Counterexample:
             obj["t"] = self.t
             obj["t_star"] = self.t_star
             obj["theta"] = self.theta.to_json()
-            obj["pump_symbol"] = list(map(list, self.pump_symbol.sorted_edges))
-            obj["context"] = [list(map(list, s.sorted_edges)) for s in self.context]
+            obj["pump_symbol"] = self.pump_symbol.to_json()
+            obj["context"] = [s.to_json() for s in self.context]
         return obj
 
 
@@ -144,7 +144,7 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
 
     theta, _, _ = both_sides_generic(m, c_prev, max_ext_len)
     x_sym = owl.suffix_of_choice_witness(c_prev, c_next)
-    x = OwlString.make(h, [x_sym])
+    x = OwlString(h, [x_sym])
     block = x + theta  # the pumped unit x.theta
 
     # Both maps continue theta's exit sets (their domains) across theta x
@@ -163,7 +163,7 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
         t_star *= exits.permutation_order(pm)
 
     u, v, _swapped = owl.separation_context(c_prev, c_next)
-    ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])
+    ustr, vstr = OwlString(h, [u]), OwlString(h, [v])
     short = ustr + theta + vstr
     pumped_len = len(short) + t_star * len(block)
     if pumped_len > MAX_PUMPED_LEN:
@@ -280,7 +280,7 @@ def exit_chain(m: Tdfa, max_ext_len: int = 1) -> ExitChainReport:
         target = seq[t]
         starts = (None, None)
         if entries:
-            suffix = OwlString.make(m.h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
+            suffix = OwlString(m.h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
             prev = entries[-1]
             seeds = [exits.extend(c.y, suffix, c.side) for c in (prev.lr_cert, prev.rl_cert)]
             starts = [s if owl.connectivity(s) == target else None for s in seeds]
@@ -325,12 +325,10 @@ def _fuzz_strings(h: int, max_len: int, exhaustive: bool, samples: int, seed: in
         syms = owl.all_symbols(h)
         for n in range(max_len + 1):
             for combo in itertools.product(syms, repeat=n):
-                yield OwlString.make(h, combo)
+                yield OwlString(h, combo)
     else:
         rng = random.Random(seed)
         bits = h * h
         for _ in range(samples):
             n = rng.randint(0, max_len)
-            yield OwlString.make(
-                h, [OwlSymbol.from_mask(h, rng.getrandbits(bits)) for _ in range(n)]
-            )
+            yield OwlString(h, [OwlSymbol.from_mask(h, rng.getrandbits(bits)) for _ in range(n)])

@@ -98,26 +98,26 @@ def _continue(
     return mapping
 
 
-def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str, verify: bool) -> PartialMap:
-    """`_continue` on y's exit states as a partial map on them; `verify`
-    re-checks that its image is the exit set of extend(y, z, side)."""
+def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str) -> PartialMap:
+    """`_continue` on y's exit states as a partial map on them, re-checked:
+    its image must be the exit set of extend(y, z, side)."""
     dom = traversal_map(m, y, side).exit_states  # checks y's height
     ext = extend(y, z, side)  # and OwlString.__add__ checks z's
     entry = len(y) + 1 if side == LR else len(z)
     pm = PartialMap(dom, _continue(m, sorted(dom), entry, ext.symbols, side))
-    if verify and pm.image != traversal_map(m, ext, side).exit_states:
+    if pm.image != traversal_map(m, ext, side).exit_states:
         raise AssertionError(f"{side} continuation image does not match the extended exit set")
     return pm
 
 
-def alpha(m: Tdfa, y: OwlString, z: OwlString, verify: bool = True) -> PartialMap:
+def alpha(m: Tdfa, y: OwlString, z: OwlString) -> PartialMap:
     """LR exit states of y continued right across the appended z inside y+z."""
-    return _continuation(m, y, z, LR, verify)
+    return _continuation(m, y, z, LR)
 
 
-def beta(m: Tdfa, z: OwlString, y: OwlString, verify: bool = True) -> PartialMap:
+def beta(m: Tdfa, z: OwlString, y: OwlString) -> PartialMap:
     """RL exit states of y continued left across the prepended z inside z+y."""
-    return _continuation(m, y, z, RL, verify)
+    return _continuation(m, y, z, RL)
 
 
 def is_permutation(pm: PartialMap) -> bool:
@@ -185,7 +185,7 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     syms = {owl.representative_symbol(c) for c in seq.matrices}
     syms.add(owl.identity_symbol(h))
     syms.add(owl.full_symbol(h))
-    return tuple(sorted(syms, key=OwlSymbol.sort_key))
+    return tuple(sorted(syms, key=lambda s: s.sorted_edges))
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,18 @@ def _check_h(h: int) -> None:
         raise ValueError(f"dimension must be an integer in [1, {MAX_H}], got {h!r}")
 
 
+def _pair_rows(h: int, pairs, what: str) -> tuple[int, ...]:
+    """The h rows with bit j-1 of row i set for each pair (i, j) of cells or
+    edges (`what` names them in the error for a pair outside [1, h])."""
+    _check_h(h)
+    rows = [0] * h
+    for i, j in pairs:
+        if not (1 <= i <= h and 1 <= j <= h):
+            raise ValueError(f"{what} ({i},{j}) out of range for h={h}")
+        rows[i - 1] |= 1 << (j - 1)
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     """h x h Boolean matrix, rows bit-packed into ints."""
@@ -118,13 +130,7 @@ class BoolMatrix:
 
     @classmethod
     def from_cells(cls, h: int, cells) -> "BoolMatrix":
-        _check_h(h)
-        rows = [0] * h
-        for i, j in cells:
-            if not (1 <= i <= h and 1 <= j <= h):
-                raise ValueError(f"cell ({i},{j}) out of range for h={h}")
-            rows[i - 1] |= 1 << (j - 1)
-        return _trusted(h, tuple(rows))
+        return _trusted(h, _pair_rows(h, cells, "cell"))
 
     def row_hex(self) -> list[str]:
         """Rows as fixed-width hex masks, for JSON export."""

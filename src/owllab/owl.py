@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import string
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -20,34 +21,24 @@ from .matrix import BoolMatrix
 @dataclass(frozen=True, init=False, slots=True)
 class OwlSymbol:
     """One alphabet letter, a two-column graph kept as h row masks in the
-    layout of BoolMatrix: bit j-1 of rows[i-1] is the edge (i, j). The edge
-    set, canonical order and mask and hex forms are views of the rows."""
+    layout of BoolMatrix: bit j-1 of rows[i-1] is the edge (i, j). The sorted
+    edges (canonical order) and mask and hex forms are views of the rows."""
 
     h: int
     rows: tuple[int, ...]
 
     def __init__(self, h: int, edges: Iterable[tuple[int, int]]) -> None:
-        matrix._check_h(h)
-        rows = [0] * h
-        for i, j in edges:
-            if not (1 <= i <= h and 1 <= j <= h):
-                raise ValueError(f"edge ({i},{j}) out of range for h={h}")
-            rows[i - 1] |= 1 << (j - 1)
+        object.__setattr__(self, "rows", matrix._pair_rows(h, edges, "edge"))  # checks h
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "rows", tuple(rows))
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(matrix._cells(self.rows))
 
     @property
     def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        """The edges by row, then by column: each row read from its low bit up."""
+        """The edges by row, then by column; canonical order sorts symbols by them."""
         return tuple(matrix._cells(self.rows))
 
-    def sort_key(self):
-        """Canonical order used wherever symbols are enumerated deterministically."""
-        return self.sorted_edges
+    def to_json(self) -> list[list[int]]:
+        """The symbol as reports write it: its sorted edges as [i, j] lists."""
+        return list(map(list, self.sorted_edges))
 
     def to_mask(self) -> int:
         """Row-major bitmask: edge (i,j) is bit (i-1)*h + (j-1)."""
@@ -67,6 +58,9 @@ class OwlSymbol:
 
     @classmethod
     def from_hex(cls, h: int, text: str) -> "OwlSymbol":
+        """The symbol whose mask `text` spells in ASCII hex digits, either case."""
+        if not text or text.strip(string.hexdigits):  # int() also takes "-1", "0x1", " 1", "1_0"
+            raise ValueError(f"symbol {text!r} is not a run of ASCII hex digits")
         return cls.from_mask(h, int(text, 16))
 
 
@@ -93,10 +87,6 @@ class OwlString:
             if s.h != self.h:
                 raise ValueError(f"symbol of height {s.h} in string of height {self.h}")
 
-    @classmethod
-    def make(cls, h: int, symbols: Iterable[OwlSymbol] = ()) -> "OwlString":
-        return cls(h, tuple(symbols))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -109,7 +99,7 @@ class OwlString:
         return OwlString(self.h, self.symbols * n)
 
     def to_json(self) -> dict:
-        return {"h": self.h, "symbols": [list(map(list, s.sorted_edges)) for s in self.symbols]}
+        return {"h": self.h, "symbols": [s.to_json() for s in self.symbols]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OwlString":
@@ -159,7 +149,7 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     if h > 3:
         raise ValueError(f"refusing to enumerate 2^{h * h} symbols")
     syms = [OwlSymbol.from_mask(h, m) for m in range(1 << (h * h))]
-    syms.sort(key=OwlSymbol.sort_key)
+    syms.sort(key=lambda s: s.sorted_edges)
     return tuple(syms)
 
 
@@ -248,7 +238,7 @@ def representative_symbol(c: BoolMatrix) -> OwlSymbol:
 
 def representative(c: BoolMatrix) -> OwlString:
     """Canonical one-symbol member of the property defined by c."""
-    return OwlString.make(c.h, [representative_symbol(c)])
+    return OwlString(c.h, [representative_symbol(c)])
 
 
 def sample_member(c: BoolMatrix, rng) -> OwlString:
@@ -258,7 +248,7 @@ def sample_member(c: BoolMatrix, rng) -> OwlString:
     ident = identity_symbol(h)
     pre = [ident] * rng.randint(0, 3)
     post = [ident] * rng.randint(0, 3)
-    return OwlString.make(h, pre + [representative_symbol(c)] + post)
+    return OwlString(h, pre + [representative_symbol(c)] + post)
 
 
 def separation_context(
@@ -293,11 +283,11 @@ def smooth_infix_witness(c: BoolMatrix) -> Optional[OwlString]:
     anything else no constructive witness is attempted; returns None.
     """
     if matrix.is_idempotent(c):
-        return OwlString.make(c.h)
+        return OwlString(c.h, ())
     cells = c.cells()
     if len(cells) == 1:
         i, j = cells[0]
-        return OwlString.make(c.h, [OwlSymbol(c.h, [(j, i)])])
+        return OwlString(c.h, [OwlSymbol(c.h, [(j, i)])])
     return None
 
 

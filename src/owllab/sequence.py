@@ -226,8 +226,8 @@ def _check_contracts(rep, prev, ct, t, h, rng, samples) -> None:
     """Sampled separation-context and forcing-suffix contracts for one step."""
     u, v, swapped = owl.separation_context(prev, ct)
     suffix = owl.suffix_of_choice_witness(prev, ct)
-    ustr = owl.OwlString.make(h, [u])
-    vstr = owl.OwlString.make(h, [v])
+    ustr = owl.OwlString(h, [u])
+    vstr = owl.OwlString(h, [v])
     for _ in range(samples):
         x = owl.sample_member(prev, rng)
         z = owl.sample_member(ct, rng)
@@ -237,7 +237,7 @@ def _check_contracts(rep, prev, ct, t, h, rng, samples) -> None:
         rep._check(live_z != swapped, f"separation orientation wrong at t={t} (h={h})")
         w = rng.choice([x, z])
         vv = owl.sample_member(prev, rng)
-        forced = w + owl.OwlString.make(h, [suffix]) + vv
+        forced = w + owl.OwlString(h, [suffix]) + vv
         rep._check(
             owl.connectivity(forced) == ct, f"forcing suffix fails at t={t} (h={h})"
         )

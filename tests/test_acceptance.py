@@ -44,9 +44,7 @@ def timed(name, budget_s, fn):
 
 def random_string(rng, h, max_len):
     n = rng.randint(0, max_len)
-    return OwlString.make(
-        h, [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(n)]
-    )
+    return OwlString(h, [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(n)])
 
 
 def criterion_1():
@@ -105,7 +103,7 @@ def criterion_3():
         pool = [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(256)]
 
         def pick():
-            return OwlString.make(h, rng.sample(pool, rng.randint(0, 3)))
+            return OwlString(h, rng.sample(pool, rng.randint(0, 3)))
 
         for _ in range(10_000):
             x = pick()
@@ -131,7 +129,7 @@ def criterion_4():
     failures = 0
     for n in range(5):
         for combo in itertools.product(syms, repeat=n):
-            z = OwlString.make(2, combo)
+            z = OwlString(2, combo)
             live = owl.nfa_live(z)
             exhaustive += 1
             if owl.is_live(z) != live:
@@ -185,7 +183,7 @@ def criterion_5():
                 failures += 1
             if len(rl_yz) > len(rl_z):
                 failures += 1
-            al = exits.alpha(m, y, z, verify=False)
+            al = exits.alpha(m, y, z)
             if al.image != lr_yz:
                 failures += 1
     return {"heights": [2, 3], "pairs": pairs, "failures": failures}
@@ -206,8 +204,8 @@ def criterion_6():
         for t in range(1, seq.N + 1):
             prev, ct = seq[t - 1], seq[t]
             u, v, swapped = owl.separation_context(prev, ct)
-            ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])
-            suffix = OwlString.make(h, [owl.suffix_of_choice_witness(prev, ct)])
+            ustr, vstr = OwlString(h, [u]), OwlString(h, [v])
+            suffix = OwlString(h, [owl.suffix_of_choice_witness(prev, ct)])
             steps += 1
             for _ in range(100):
                 x = owl.sample_member(prev, rng)

@@ -68,7 +68,7 @@ def test_verify_seq(capsys):
 
 
 def test_run_subcommand(capsys, tmp_path):
-    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    z = OwlString(2, [identity_symbol(2), full_symbol(2)])
     path = write_string(tmp_path, z)
     code, out, _ = run_cli(capsys, "run", "--machine", "subset:2", "--input", path)
     assert code == 0
@@ -78,7 +78,7 @@ def test_run_subcommand(capsys, tmp_path):
 
 
 def test_run_with_trace(capsys, tmp_path):
-    z = OwlString.make(2, [identity_symbol(2)])
+    z = OwlString(2, [identity_symbol(2)])
     path = write_string(tmp_path, z)
     code, out, _ = run_cli(
         capsys, "run", "--machine", "accept_all:2", "--input", path, "--trace"
@@ -98,7 +98,7 @@ def test_run_simulates_once(capsys, tmp_path, monkeypatch, trace):
         return real(*args)
 
     monkeypatch.setattr(tdfa, "_simulate", spy)
-    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    z = OwlString(2, [identity_symbol(2), full_symbol(2)])
     path = write_string(tmp_path, z)
     argv = ["run", "--machine", "subset:2", "--input", path] + ["--trace"] * trace
     code, out, _ = run_cli(capsys, *argv)
@@ -110,7 +110,7 @@ def test_run_simulates_once(capsys, tmp_path, monkeypatch, trace):
 
 
 def test_run_height_mismatch(capsys, tmp_path):
-    z = OwlString.make(3, [identity_symbol(3)])
+    z = OwlString(3, [identity_symbol(3)])
     path = write_string(tmp_path, z)
     code, _, err = run_cli(capsys, "run", "--machine", "subset:2", "--input", path)
     assert code == 2
@@ -118,7 +118,7 @@ def test_run_height_mismatch(capsys, tmp_path):
 
 
 def test_exits_subcommand(capsys, tmp_path):
-    z = OwlString.make(2, [identity_symbol(2)])
+    z = OwlString(2, [identity_symbol(2)])
     path = write_string(tmp_path, z)
     code, out, _ = run_cli(capsys, "exits", "--machine", "subset:2", "--input", path)
     assert code == 0
@@ -240,7 +240,7 @@ def test_machine_file_round_trip(capsys, tmp_path):
     }
     mpath = tmp_path / "machine.json"
     mpath.write_text(json.dumps(blob))
-    z = OwlString.make(1, [full_symbol(1)])
+    z = OwlString(1, [full_symbol(1)])
     zpath = write_string(tmp_path, z)
     code, out, _ = run_cli(capsys, "run", "--machine", str(mpath), "--input", zpath)
     assert code == 0
@@ -278,7 +278,16 @@ MALFORMED_FILES = {
         **SUBSET2, "delta": {**SUBSET2["delta"], "ghost": {"default": ["nowhere", "X"]}},
     }),
     "state_twice.json": json.dumps({**SUBSET2, "states": SUBSET2["states"] + ["s1"]}),
-    "height3.json": OwlString.make(3, [full_symbol(3)]).dumps(),
+    "height3.json": OwlString(3, [full_symbol(3)]).dumps(),
+    "hex_prefix.json": '{"h": 2, "symbols": ["0x3"]}',
+    "hex_prefix_key.json": json.dumps({
+        "h": 2, "states": ["go", "accept", "reject"], "start": "go",
+        "accept": "accept", "reject": "reject", "delta": {
+            q: {"LEND": [q, "R"], "REND": ["accept", "R"], "0x1": ["reject", "R"],
+                "default": [q, "R"]}
+            for q in ("go", "accept", "reject")
+        },
+    }),
 }
 
 
@@ -295,6 +304,8 @@ MALFORMED_FILES = {
         "run --machine {dir}/state_twice.json --input {dir}/empty.json",
         "exits --machine subset:2 --input {dir}/height3.json",
         "exits --machine accept_all:2 --input {dir}/height3.json",
+        "run --machine subset:2 --input {dir}/hex_prefix.json",
+        "run --machine {dir}/hex_prefix_key.json --input {dir}/empty.json",
         "fuzz --machine subset:2 --samples -5",
         "fuzz --machine subset:2 --max-len -1",
         "generic --machine subset:2 --conn 1 --max-ext-len -1",
@@ -306,7 +317,7 @@ MALFORMED_FILES = {
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)
-    write_string(tmp_path, OwlString.make(2), "empty.json")
+    write_string(tmp_path, OwlString(2, ()), "empty.json")
     try:
         code = cli.main(argv.format(dir=tmp_path).split())
     except SystemExit as exc:  # argparse rejects bad option values this way
@@ -396,7 +407,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
 
 def _every_subcommand(tmp_path):
     """One JSON-reporting argv per subcommand."""
-    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    z = OwlString(2, [identity_symbol(2), full_symbol(2)])
     path = write_string(tmp_path, z)
     return [
         ["seq", "--height", "3"],
@@ -513,7 +524,7 @@ _WRONG_HEIGHTS = [0, 1, 3, 65, -1]
 
 def _valid_string_json():
     edge = owl.OwlSymbol(2, [(1, 2)])
-    blob = OwlString.make(2, [identity_symbol(2), full_symbol(2), edge]).to_json()
+    blob = OwlString(2, [identity_symbol(2), full_symbol(2), edge]).to_json()
     blob["symbols"].append(edge.to_hex())
     return blob
 

@@ -34,7 +34,7 @@ def random_symbol(rng, h):
 
 def random_string(rng, h, max_len):
     n = rng.randint(0, max_len)
-    return OwlString.make(h, [random_symbol(rng, h) for _ in range(n)])
+    return OwlString(h, [random_symbol(rng, h) for _ in range(n)])
 
 
 def test_symbol_edge_validation():
@@ -69,14 +69,14 @@ def test_mask_out_of_range():
 def test_named_symbols():
     assert identity_symbol(3).sorted_edges == ((1, 1), (2, 2), (3, 3))
     assert empty_symbol(3).sorted_edges == ()
-    assert len(full_symbol(3).edges) == 9
+    assert len(full_symbol(3).sorted_edges) == 9
 
 
 def test_all_symbols():
     syms = all_symbols(2)
     assert len(syms) == 16
     assert len(set(syms)) == 16
-    assert list(syms) == sorted(syms, key=OwlSymbol.sort_key)
+    assert list(syms) == sorted(syms, key=lambda s: s.sorted_edges)
     with pytest.raises(ValueError):
         all_symbols(4)
 
@@ -102,13 +102,13 @@ def test_packed_form_views():
     for h, mask in packed_form_masks():
         s = OwlSymbol.from_mask(h, mask)
         edges = mask_edges(h, mask)
-        assert s.edges == edges
         assert s.rows == tuple(sum(1 << (j - 1) for i, j in edges if i == r) for r in range(1, h + 1))
         rebuilt = OwlSymbol(h, edges)
         assert rebuilt == s and hash(rebuilt) == hash(s)
         assert s.to_mask() == mask
         assert OwlSymbol.from_hex(h, s.to_hex()) == s
-        assert s.sorted_edges == tuple(sorted(edges)) == s.sort_key()
+        assert s.sorted_edges == tuple(sorted(edges))
+        assert s.to_json() == [[i, j] for i, j in sorted(edges)]
         assert symbol_matrix(s).rows == s.rows
         assert representative_symbol(symbol_matrix(s)) == s
 
@@ -141,18 +141,24 @@ def test_packed_form_refuses_bad_input():
             OwlSymbol.from_mask(h, 1 << (h * h))
         with pytest.raises(ValueError, match="mask out of range"):
             OwlSymbol.from_hex(h, "1" + "0" * ((h * h + 3) // 4))
+    # int(text, 16) takes every one of these; a symbol's hex is digits only.
+    for text in ("", "-0", "+1", "0x3", " 3 ", "3\n", "1_0", "0_1", "\u0661"):
+        with pytest.raises(ValueError, match="hex digits"):
+            OwlSymbol.from_hex(2, text)
+        with pytest.raises(ValueError, match="hex digits"):
+            OwlString.loads(json.dumps({"h": 2, "symbols": [text]}))
 
 
 def test_string_height_checks():
     with pytest.raises(ValueError):
-        OwlString.make(2, [identity_symbol(3)])
+        OwlString(2, [identity_symbol(3)])
     with pytest.raises(ValueError):
-        OwlString.make(2) + OwlString.make(3)
+        OwlString(2, ()) + OwlString(3, ())
 
 
 def test_string_concat_and_repeat():
-    a = OwlString.make(2, [identity_symbol(2)])
-    b = OwlString.make(2, [full_symbol(2)])
+    a = OwlString(2, [identity_symbol(2)])
+    b = OwlString(2, [full_symbol(2)])
     assert len(a + b) == 2
     assert (a + b).symbols == a.symbols + b.symbols
     assert a.repeat(3).symbols == a.symbols * 3
@@ -172,13 +178,13 @@ def test_string_loads_refuses_deeply_nested_json():
 
 
 def test_string_json_accepts_hex_symbols():
-    z = OwlString.make(2, [identity_symbol(2), full_symbol(2)])
+    z = OwlString(2, [identity_symbol(2), full_symbol(2)])
     obj = {"h": 2, "symbols": [s.to_hex() for s in z.symbols]}
     assert OwlString.from_json(obj) == z
 
 
 def test_empty_string_connectivity_is_identity():
-    z = OwlString.make(3)
+    z = OwlString(3, ())
     assert connectivity(z) == matrix.identity(3)
     assert is_live(z)
     assert nfa_live(z)
@@ -186,14 +192,10 @@ def test_empty_string_connectivity_is_identity():
 
 def test_connectivity_hand_example():
     # {(1,2)} then {(2,1)}: the only end-to-end path is 1 -> 2 -> 1.
-    z = OwlString.make(
-        2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(2, 1)])]
-    )
+    z = OwlString(2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(2, 1)])])
     assert connectivity(z) == BoolMatrix.from_cells(2, [(1, 1)])
     # Repeating the symbol gives a dead string: nothing leaves node 2.
-    w = OwlString.make(
-        2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(1, 2)])]
-    )
+    w = OwlString(2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(1, 2)])])
     assert connectivity(w).is_zero()
     assert not is_live(w)
 
@@ -217,7 +219,7 @@ def test_liveness_oracles_agree_exhaustively_h2():
     syms = all_symbols(2)
     for n in range(3):
         for combo in itertools.product(syms, repeat=n):
-            z = OwlString.make(2, combo)
+            z = OwlString(2, combo)
             assert is_live(z) == nfa_live(z)
 
 
@@ -269,7 +271,7 @@ def test_separation_context_liveness_xor():
             continue
         checked += 1
         u, v, swapped = separation_context(c1, c2)
-        ustr, vstr = OwlString.make(h, [u]), OwlString.make(h, [v])
+        ustr, vstr = OwlString(h, [u]), OwlString(h, [v])
         live1 = is_live(ustr + sample_member(c1, rng) + vstr)
         live2 = is_live(ustr + sample_member(c2, rng) + vstr)
         assert live1 != live2
@@ -311,7 +313,7 @@ def test_suffix_of_choice_on_chain_pair():
     for t in range(1, seq.N + 1):
         prev, nxt = seq[t - 1], seq[t]
         u = suffix_of_choice_witness(prev, nxt)
-        ustr = OwlString.make(3, [u])
+        ustr = OwlString(3, [u])
         for _ in range(5):
             x = sample_member(rng.choice([prev, nxt]), rng)
             v = sample_member(prev, rng)
@@ -327,7 +329,7 @@ def test_suffix_of_choice_rejects_bad_pairs():
 
 
 def test_json_is_stable():
-    z = OwlString.make(2, [full_symbol(2), identity_symbol(2)])
+    z = OwlString(2, [full_symbol(2), identity_symbol(2)])
     assert json.loads(z.dumps()) == z.to_json()
     assert z.dumps() == OwlString.loads(z.dumps()).dumps()
 
@@ -349,10 +351,10 @@ def test_string_stores_a_list_as_a_tuple():
     s, t = identity_symbol(2), full_symbol(2)
     z = OwlString(2, [s])
     assert type(z.symbols) is tuple
-    assert z == OwlString.make(2, [s])
-    assert hash(z) == hash(OwlString.make(2, [s]))
+    assert z == OwlString(2, [s])
+    assert hash(z) == hash(OwlString(2, [s]))
     assert (z + OwlString(2, [t])).symbols == (s, t)
-    assert z.repeat(2) == OwlString.make(2, [s, s])
+    assert z.repeat(2) == OwlString(2, [s, s])
 
 
 def fold_of_multiply(z):
@@ -374,15 +376,15 @@ def test_folds_match_a_left_fold_of_multiply():
                 OwlSymbol.from_mask(h, rng.getrandbits(h * h) & rng.getrandbits(h * h))
                 for _ in range(n)
             ]
-            z = OwlString.make(h, syms)
+            z = OwlString(h, syms)
             want = fold_of_multiply(z)
             assert connectivity(z) == want
             assert is_live(z) == (not want.is_zero()) == nfa_live(z)
-            prefix = OwlString.make(h, syms[: n // 2])
+            prefix = OwlString(h, syms[: n // 2])
             dies_early += n > 1 and fold_of_multiply(prefix).is_zero()
     assert dies_early > 0
     for h in (1, 4, 64):
-        empty = OwlString.make(h)
+        empty = OwlString(h, ())
         assert connectivity(empty) == matrix.identity(h) == fold_of_multiply(empty)
         assert is_live(empty)
 
@@ -405,23 +407,23 @@ def _liveness_cases(rng, h):
         rng.shuffle(cols)
         return OwlSymbol(h, [(i, j) for i, j in enumerate(cols, 1)])
 
-    cases = [OwlString.make(h)]
+    cases = [OwlString(h, ())]
     for make in (dense, sparse, permutation):
         for n in (1, 2, 5, 12):
-            cases.append(OwlString.make(h, [make() for _ in range(n)]))
+            cases.append(OwlString(h, [make() for _ in range(n)]))
     for _ in range(4):
         tail = [dense() for _ in range(rng.randint(0, 4))]
-        cases.append(OwlString.make(h, [empty_symbol(h)] + tail))
+        cases.append(OwlString(h, [empty_symbol(h)] + tail))
         # A prefix whose product reaches only some columns, then a last
         # symbol whose rows are empty exactly at those columns.
         narrow = rng.getrandbits(h) | 1
         funnel = owl._trusted(h, tuple(rng.getrandbits(h) & narrow or 1 for _ in range(h)))
         prefix = [dense(), permutation(), funnel, permutation()]
         reached = 0
-        for row in connectivity(OwlString.make(h, prefix)).rows:
+        for row in connectivity(OwlString(h, prefix)).rows:
             reached |= row
         last = tuple(0 if reached >> k & 1 else rng.getrandbits(h) for k in range(h))
-        cases.append(OwlString.make(h, prefix + [owl._trusted(h, last)]))
+        cases.append(OwlString(h, prefix + [owl._trusted(h, last)]))
     return cases
 
 
@@ -436,7 +438,7 @@ def test_is_live_matches_connectivity_and_nfa_live(h):
         widest = max(widest, len(set(c.rows) - {0}))
         if z.symbols:
             dies_first += z.symbols[0] == empty_symbol(h)
-            head = OwlString.make(h, z.symbols[:-1])
+            head = OwlString(h, z.symbols[:-1])
             dies_last += is_live(head) and not is_live(z) and z.symbols[-1] != empty_symbol(h)
     assert is_live(cases[0])
     assert widest == h
