@@ -1,7 +1,8 @@
 """Command-line front door: `owl <subcommand>`.
 
-Reports are JSON by default (deterministic: sorted keys, seed echoed) with
-a --pretty-ish human format behind --format pretty. Exit codes: 0 when
+Reports are one line of JSON by default (deterministic: sorted keys, seed
+echoed; pipe through `python -m json.tool` to indent) or an indented
+key: value listing with --format pretty. Exit codes: 0 when
 everything is consistent or nothing was found, 1 when a counterexample or
 verification failure was produced, 2 on usage or validation errors.
 """
@@ -12,9 +13,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 
 from . import __version__, adversary, exits, owl, sequence, tdfa
 from .matrix import BoolMatrix
@@ -44,6 +45,9 @@ def load_machine(spec: str) -> Tdfa:
     parts = spec.split(":")
     build = _BUILTINS.get((parts[0], len(parts)))
     if build is not None:
+        for part in parts[1:]:  # int() also takes "+3", " 3", "1_0" and non-ASCII digits
+            if not re.fullmatch(r"-?[0-9]+", part):
+                raise CliError(f"bad machine spec {spec!r}: {part!r} is not a decimal integer")
         try:
             m = build(*map(int, parts[1:]))
         except ValueError as exc:
@@ -73,59 +77,8 @@ def _emit(report: dict, args) -> None:
     if args.format == "pretty":
         _pretty(report, sys.stdout)
     else:
-        _write_json(report, sys.stdout)
-
-
-_FLUSH_PARTS = 4096  # parts held before a write, so a large report is never held whole
-_ints_only = frozenset((int,)).issuperset  # of an iterable of types, without a Python loop
-
-
-def _write_json(obj, stream) -> None:
-    """Writes obj and a newline as json.dump(obj, stream, sort_keys=True,
-    indent=2) would. With an indent, json never uses its C encoder; this
-    writes str keys only and raises TypeError on anything else JSON lacks."""
-    parts = []
-
-    def put(o, nl: str) -> None:
-        if len(parts) >= _FLUSH_PARTS:
-            stream.write("".join(parts))
-            parts.clear()
-        t = type(o)
-        if t is str:
-            parts.append(encode_basestring_ascii(o))
-        elif t is int:
-            parts.append(int.__repr__(o))
-        elif t is dict:
-            inner = nl + "  "
-            sep = "{" + inner
-            for k in sorted(o):  # encode_basestring_ascii raises TypeError on a non-str key
-                parts.extend((sep, encode_basestring_ascii(k), ": "))
-                put(o[k], inner)
-                sep = "," + inner
-            parts.append(nl + "}" if o else "{}")
-        elif t is list or t is tuple:
-            inner = nl + "  "
-            if not o:
-                parts.append("[]")
-            elif _ints_only(map(type, o)):
-                parts.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-            else:
-                sep = "[" + inner
-                for x in o:
-                    parts.append(sep)
-                    put(x, inner)
-                    sep = "," + inner
-                parts.append(nl + "]")
-        elif o is None or t is bool:
-            parts.append("null" if o is None else "true" if o else "false")
-        elif t is float:
-            parts.append(json.dumps(o))
-        else:
-            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-    put(obj, "\n")
-    parts.append("\n")
-    stream.write("".join(parts))
+        # One line through json.dumps: json.dump and any indent encode in pure Python.
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
 def _pretty(obj, stream, indent=0) -> None:
