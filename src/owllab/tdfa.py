@@ -42,12 +42,15 @@ class Computation:
 
 
 class Tdfa:
-    """2DFA with named states and a total transition function.
+    """2DFA with named states and a total transition function
+    `delta(state, tape symbol) -> (state, direction)`.
 
-    The transition function is supplied either as an explicit table over a
-    declared symbol subset (with a required per-state default, since the
-    alphabet is far too large to enumerate) or programmatically. Table keys
-    are parsed here: a symbol's hex mask in any spelling, at most once per state.
+    The constructor is the one way to build a machine, and it refuses an
+    invalid one: state names are distinct and include start, accept and
+    reject; every state moves right off the left endmarker and moves left on
+    the right endmarker unless it steps right into accept or reject (the only
+    way to halt); and delta gives a (declared state, "L"/"R") pair. A machine
+    file's rules become a `_Table` delta (see `from_json`).
     """
 
     def __init__(
@@ -57,39 +60,23 @@ class Tdfa:
         start: str,
         accept: str,
         reject: str,
-        table: Optional[dict] = None,
-        delta_fn: Optional[Callable[[str, TapeSymbol], tuple[str, str]]] = None,
+        delta: Callable[[str, TapeSymbol], tuple[str, str]],
         name: str = "tdfa",
     ):
-        if (table is None) == (delta_fn is None):
-            raise ValueError("supply exactly one of table, delta_fn")
         _check_h(h)
         self.states = tuple(states)
         self.h = h
         self.start = start
         self.accept = accept
         self.reject = reject
-        self.table = table and {q: _parse_rules(h, q, rules) for q, rules in table.items()}
-        self.delta_fn = delta_fn
+        self.delta = delta
         self.name = name
-        self._state_set = frozenset(self.states)
-
-    def step(self, state: str, sym: TapeSymbol) -> tuple[str, str]:
-        """Next (state, direction) for the current state and tape symbol."""
-        if self.delta_fn is not None:
-            return self.delta_fn(state, sym)
-        rules = self.table.get(state)
-        if rules is None:
-            raise KeyError(f"state {state!r} has no transition entries")
-        hit = rules.get(sym)
-        if hit is None:
-            hit = rules.get("default")
-        if hit is None:
-            raise KeyError(f"no transition for ({state!r}, {_key_text(sym)!r}) and no default")
-        return hit
+        errs = _violations(self)
+        if errs:
+            raise _invalid(name, errs)
 
     def to_json(self) -> dict:
-        if self.table is None:
+        if not isinstance(self.delta, _Table):
             raise ValueError("programmatic machine has no serializable table")
         return {
             "h": self.h,
@@ -97,11 +84,14 @@ class Tdfa:
             "start": self.start,
             "accept": self.accept,
             "reject": self.reject,
-            "delta": {q: {_key_text(k): list(v) for k, v in r.items()} for q, r in self.table.items()},
+            "delta": {q: {_key_text(k): list(v) for k, v in r.items()} for q, r in self.delta.items()},
         }
 
     @classmethod
     def from_json(cls, obj: dict, name: str = "tdfa") -> "Tdfa":
+        """A machine file's object. Each state's rules are parsed into a
+        `_Table`, which is checked for what only a table can get wrong before
+        the constructor checks the machine."""
         if not isinstance(obj, dict):
             raise ValueError("machine JSON must be an object")
         for field in ("h", "states", "start", "accept", "reject", "delta"):
@@ -113,20 +103,29 @@ class Tdfa:
         rules = [v for entries in delta.values() for v in entries.values()]
         if not all(isinstance(v, list) and len(v) == 2 for v in rules):
             raise ValueError("every delta rule must be a [state, direction] pair")
-        states = obj["states"]
+        h, states = obj["h"], obj["states"]
         names = [obj["start"], obj["accept"], obj["reject"], *(x for v in rules for x in v)]
         if not (isinstance(states, list) and all(isinstance(q, str) for q in states + names)):
             raise ValueError("machine states, start/accept/reject and rule entries must be strings")
-        table = {q: {k: tuple(v) for k, v in entries.items()} for q, entries in delta.items()}
-        return cls(
-            states=states,
-            h=obj["h"],
-            start=obj["start"],
-            accept=obj["accept"],
-            reject=obj["reject"],
-            table=table,
-            name=name,
-        )
+        _check_h(h)
+        table = _Table({q: _parse_rules(h, q, entries) for q, entries in delta.items()})
+        declared = set(states)
+        errs = [f"delta has entries for undeclared state {q!r}" for q in sorted(table.keys() - declared)]
+        for q in dict.fromkeys(states):
+            entries = table.get(q)
+            if entries is None:
+                errs.append(f"state {q!r} has no transition entries")
+                continue
+            if "default" not in entries:
+                errs.append(f"state {q!r} has no default rule")
+            for key, (nq, d) in entries.items():
+                if nq not in declared:
+                    errs.append(f"delta({q!r}, {_key_text(key)}) targets unknown state {nq!r}")
+                elif d not in ("L", "R"):
+                    errs.append(f"delta({q!r}, {_key_text(key)}) has bad direction {d!r}")
+        if errs:
+            raise _invalid(name, errs)
+        return cls(states, h, obj["start"], obj["accept"], obj["reject"], table, name)
 
     @classmethod
     def load(cls, path: str) -> "Tdfa":
@@ -136,6 +135,21 @@ class Tdfa:
             except RecursionError:  # json's parser recurses once per nesting level
                 raise ValueError("machine JSON is nested too deeply") from None
         return cls.from_json(obj, name=path)
+
+
+class _Table(dict):
+    """A machine file's rules as a transition function: state -> {LEND,
+    REND, "default" or a symbol: (state, direction)}. A symbol's own rule
+    wins over the state's default; `from_json` has checked that every
+    declared state has one."""
+
+    def __call__(self, state: str, sym: TapeSymbol) -> tuple[str, str]:
+        rules = self[state]
+        return rules.get(sym) or rules["default"]
+
+
+def _invalid(name: str, errs: list[str]) -> ValueError:
+    return ValueError(f"machine {name!r} is invalid: " + "; ".join(errs))
 
 
 def _parse_rules(h: int, state: str, rules: dict) -> dict:
@@ -160,71 +174,47 @@ def _key_text(key: TapeSymbol) -> str:
     return key if isinstance(key, str) else key.to_hex()
 
 
-def validate(m: Tdfa) -> list[str]:
-    """Machine invariants; empty list means ok.
-
-    State names are distinct, and a table has rules only for declared states.
-    Endmarker discipline: every state moves right off the left endmarker,
-    and moves left on the right endmarker unless it steps right into the
-    accept or reject state (the only way to halt).
-    """
+def _violations(m: Tdfa) -> list[str]:
+    """What makes m invalid (see `Tdfa`); empty when it is valid. delta is
+    called on both endmarkers and on the empty, identity and full symbols
+    from every state."""
     errs = [f"state {q!r} is listed {n} times" for q, n in Counter(m.states).items() if n > 1]
+    declared = frozenset(m.states)
     for special, label in ((m.start, "start"), (m.accept, "accept"), (m.reject, "reject")):
-        if special not in m._state_set:
+        if special not in declared:
             errs.append(f"{label} state {special!r} not in state set")
     if errs:
         return errs
 
-    def check_result(q, symname, res):
-        if not (isinstance(res, tuple) and len(res) == 2):
-            errs.append(f"delta({q!r}, {symname}) is not a (state, direction) pair")
-            return None
-        nq, d = res
-        if nq not in m._state_set:
-            errs.append(f"delta({q!r}, {symname}) targets unknown state {nq!r}")
-            return None
-        if d not in ("L", "R"):
-            errs.append(f"delta({q!r}, {symname}) has bad direction {d!r}")
-            return None
-        return nq, d
+    def result(q, symname, sym):
+        try:
+            res = m.delta(q, sym)
+            if not (isinstance(res, tuple) and len(res) == 2):
+                errs.append(f"delta({q!r}, {symname}) is not a (state, direction) pair")
+            elif res[0] not in declared:
+                errs.append(f"delta({q!r}, {symname}) targets unknown state {res[0]!r}")
+            elif res[1] not in ("L", "R"):
+                errs.append(f"delta({q!r}, {symname}) has bad direction {res[1]!r}")
+            else:
+                return res
+        except Exception as exc:  # a delta that raises, or an unhashable target
+            errs.append(f"delta({q!r}, {symname}) failed: {exc}")
+        return None
 
     for q in m.states:
-        for symname, sym in ((LEND, LEND), (REND, REND)):
-            try:
-                res = check_result(q, symname, m.step(q, sym))
-            except Exception as exc:  # table gaps, bad callables
-                errs.append(f"delta({q!r}, {symname}) failed: {exc}")
-                continue
-            if res is None:
-                continue
-            nq, d = res
-            if sym == LEND and d != "R":
-                errs.append(f"delta({q!r}, LEND) moves left off the left endmarker")
-            if sym == REND and d == "R" and nq not in (m.accept, m.reject):
-                errs.append(
-                    f"delta({q!r}, REND) moves right into {nq!r}, "
-                    "which is neither accept nor reject"
-                )
-    if m.table is not None:
-        for q in sorted(m.table.keys() - m._state_set):
-            errs.append(f"delta has entries for undeclared state {q!r}")
+        res = result(q, LEND, LEND)
+        if res and res[1] != "R":
+            errs.append(f"delta({q!r}, LEND) moves left off the left endmarker")
+        res = result(q, REND, REND)
+        if res and res[1] == "R" and res[0] not in (m.accept, m.reject):
+            errs.append(
+                f"delta({q!r}, REND) moves right into {res[0]!r}, "
+                "which is neither accept nor reject"
+            )
+    for sym in (empty_symbol(m.h), identity_symbol(m.h), full_symbol(m.h)):
+        symname = sym.to_hex()
         for q in m.states:
-            entries = m.table.get(q)
-            if entries is None:
-                errs.append(f"state {q!r} has no transition entries")
-                continue
-            if "default" not in entries:
-                errs.append(f"state {q!r} has no default rule")
-            for key, res in entries.items():
-                check_result(q, _key_text(key), res)
-    else:
-        # Programmatic delta: probe a few symbols for well-formed results.
-        for sym in (empty_symbol(m.h), identity_symbol(m.h), full_symbol(m.h)):
-            for q in m.states:
-                try:
-                    check_result(q, sym.to_hex(), m.step(q, sym))
-                except Exception as exc:
-                    errs.append(f"delta({q!r}, {sym.to_hex()}) failed: {exc}")
+            result(q, symname, sym)
     return errs
 
 
@@ -237,7 +227,7 @@ def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
     """
     budget = len(m.states) * len(tape) + 1 if tape else 1
     trace = [(state, pos)] if trace_limit > 0 else None
-    step = m.delta_fn or m.step
+    step = m.delta
     steps = 0
     while lo <= pos <= hi:
         if steps >= budget:
@@ -286,8 +276,8 @@ def decide(m: Tdfa, z: OwlString) -> str:
     """Accept/reject/loop verdict of the full endmarked run.
 
     Any other end, off the left endmarker or right into a state that is
-    neither accept nor reject, breaks the endmarker discipline that
-    `validate` checks and raises ValueError.
+    neither accept nor reject, breaks the endmarker discipline and raises
+    ValueError.
     """
     return verdict(m, run_on_tape(m, z, trace_limit=0))
 
@@ -371,7 +361,7 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
         return name_of[out], "R"
 
     states = [name_of[m] for m in masks] + [ACCEPT, REJECT]
-    return Tdfa(states, h, start, ACCEPT, REJECT, delta_fn=delta, name=name)
+    return Tdfa(states, h, start, ACCEPT, REJECT, delta, name=name)
 
 
 def build_subset_solver(h: int) -> Tdfa:
@@ -398,4 +388,4 @@ def build_accept_all(h: int) -> Tdfa:
             return (q, "R") if q in (ACCEPT, REJECT) else (ACCEPT, "R")
         return "go", "R"
 
-    return Tdfa(states, h, "go", ACCEPT, REJECT, delta_fn=delta, name="accept_all")
+    return Tdfa(states, h, "go", ACCEPT, REJECT, delta, name="accept_all")

@@ -112,6 +112,17 @@ def test_run_simulates_once(capsys, tmp_path, monkeypatch, trace):
     assert ("trace" in result) == trace
 
 
+def test_run_trace_is_null_past_the_limit(capsys, tmp_path):
+    # 100,000 symbols take 100,002 steps: 100,003 configurations, one more
+    # than run_on_tape keeps, so the trace is dropped and says so.
+    z = OwlString(2, [full_symbol(2)] * 100_000)
+    path = write_string(tmp_path, z)
+    code, out, _ = run_cli(capsys, "run", "--machine", "subset:2", "--input", path, "--trace")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == {"decision": "accept", "live": True, "steps": 100_002, "trace": None}
+
+
 def test_run_height_mismatch(capsys, tmp_path):
     z = OwlString(3, [identity_symbol(3)])
     path = write_string(tmp_path, z)
@@ -270,6 +281,18 @@ def test_invalid_machine_file_rejected(capsys, tmp_path):
 
 with open(os.path.join(os.path.dirname(__file__), "subset2_table.json")) as _f:
     SUBSET2 = json.load(_f)
+
+
+def test_machine_file_breaking_the_endmarker_discipline_is_refused(capsys, tmp_path):
+    blob = json.loads(json.dumps(SUBSET2))
+    blob["delta"]["s1"]["LEND"] = ["s3", "L"]
+    mpath = tmp_path / "left.json"
+    mpath.write_text(json.dumps(blob))
+    zpath = write_string(tmp_path, OwlString(2, [full_symbol(2)]))
+    code, out, err = run_cli(capsys, "run", "--machine", str(mpath), "--input", zpath)
+    assert code == 2 and out == ""
+    want = f"error: cannot load machine {str(mpath)!r}: machine {str(mpath)!r} is invalid: "
+    assert err.splitlines() == [want + "delta('s1', LEND) moves left off the left endmarker"]
 
 MALFORMED_FILES = {
     "symbols_not_list.json": '{"h": 2, "symbols": 5}',
@@ -496,9 +519,9 @@ def test_builtin_name_wins_over_a_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "subset:3").write_text(json.dumps(blob))
     builtin = cli.load_machine("subset:3")
-    assert builtin.h == 3 and builtin.table is None
+    assert builtin.h == 3 and builtin.name == "subset:3"
     from_file = cli.load_machine("./subset:3")
-    assert from_file.h == 1 and from_file.table is not None
+    assert from_file.h == 1 and from_file.name == "./subset:3"
 
 
 # Seeded mutation fuzz over the three file loaders. Every mutation below is

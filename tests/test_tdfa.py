@@ -17,6 +17,7 @@ from owllab.tdfa import (
     LOOP,
     REJECT,
     REND,
+    Computation,
     Tdfa,
     build_accept_all,
     build_broken_solver,
@@ -26,7 +27,7 @@ from owllab.tdfa import (
     lcomp,
     rcomp,
     run_on_tape,
-    validate,
+    verdict,
 )
 
 
@@ -42,30 +43,44 @@ def pingpong_machine(h=2):
             return ACCEPT, "R"
         return ("q", "R") if state == "p" else ("p", "L")
 
-    return Tdfa(["p", "q", ACCEPT, REJECT], h, "p", ACCEPT, REJECT, delta_fn=delta)
+    return Tdfa(["p", "q", ACCEPT, REJECT], h, "p", ACCEPT, REJECT, delta)
+
+
+HALTING_RULES = {
+    ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
+    REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "L"), "default": (REJECT, "R")},
+}
+
+
+def table_json(rules, h=1, states=("s", ACCEPT, REJECT)):
+    """A machine file's object with these rules; the first state starts."""
+    return {
+        "h": h,
+        "states": list(states),
+        "start": states[0],
+        "accept": ACCEPT,
+        "reject": REJECT,
+        "delta": {q: {k: list(v) for k, v in r.items()} for q, r in rules.items()},
+    }
 
 
 def table_machine():
     """Two-state table machine over h=1 that accepts everything."""
-    table = {
-        "s": {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")},
-        ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
-        REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "L"), "default": (REJECT, "R")},
-    }
-    return Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
+    rules = {"s": {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}, **HALTING_RULES}
+    return Tdfa.from_json(table_json(rules))
 
 
-def test_constructor_requires_one_delta():
-    with pytest.raises(ValueError):
-        Tdfa(["s"], 1, "s", "s", "s")
-    with pytest.raises(ValueError):
-        Tdfa(["s"], 1, "s", "s", "s", table={}, delta_fn=lambda q, s: (q, "R"))
+def refusal(build) -> str:
+    """The violations in the ValueError that build() raises."""
+    with pytest.raises(ValueError, match="^machine 'tdfa' is invalid: ") as info:
+        build()
+    return str(info.value).removeprefix("machine 'tdfa' is invalid: ")
 
 
 def test_constructor_checks_height():
     for h in (0, 70, "2"):
         with pytest.raises(ValueError, match="dimension"):
-            Tdfa(["s"], h, "s", "s", "s", delta_fn=lambda q, s: (q, "R"))
+            Tdfa(["s"], h, "s", "s", "s", lambda q, s: (q, "R"))
     with pytest.raises(ValueError, match="dimension"):
         build_accept_all(0)
 
@@ -94,59 +109,75 @@ def test_runs_refuse_an_input_of_another_height(m):
 
 
 def test_validate_builtins_clean():
-    for m in (
-        build_accept_all(2),
-        build_subset_solver(2),
-        build_subset_solver(3),
-        build_broken_solver(3, 1),
-        table_machine(),
-        pingpong_machine(),
-    ):
-        assert validate(m) == []
+    # Every builtin builds at the extremes of its parameters; building validates.
+    machines = [build_accept_all(1), build_accept_all(64)]
+    machines += [build_subset_solver(h) for h in range(1, 13)]
+    machines += [build_broken_solver(16, 2), build_broken_solver(64, 1)]
+    machines += [table_machine(), pingpong_machine(), bouncing_table_machine()]
+    assert [len(m.states) for m in machines[:3]] == [3, 3, 4]
+    assert [len(m.states) for m in machines[13:16]] == [4098, 139, 67]
 
 
 def test_validate_catches_unknown_special_states():
-    m = Tdfa(["s"], 1, "s", "missing", "s", delta_fn=lambda q, sym: ("s", "R"))
-    assert any("accept" in e for e in validate(m))
+    def build():
+        return Tdfa(["s"], 1, "s", "missing", "s", lambda q, sym: ("s", "R"))
+
+    assert refusal(build) == "accept state 'missing' not in state set"
+
+
+def test_constructor_refuses_duplicate_states():
+    def build():
+        return Tdfa(["s", "s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, lambda q, sym: (ACCEPT, "R"))
+
+    assert refusal(build) == "state 's' is listed 2 times"
 
 
 def test_validate_catches_endmarker_violations():
     def bad_left(q, sym):
-        if sym == LEND:
-            return "s", "L"
-        return "s", "R"
+        return "s", "L" if sym == LEND else "R"
 
-    m = Tdfa(["s"], 1, "s", "s", "s", delta_fn=bad_left)
-    assert any("left endmarker" in e for e in validate(m))
+    def left():
+        return Tdfa(["s"], 1, "s", "s", "s", bad_left)
+
+    assert refusal(left) == "delta('s', LEND) moves left off the left endmarker"
 
     def bad_right(q, sym):
-        if sym == REND:
-            return "s", "R"  # falls off the right but not into accept/reject
-        return "s", "R"
+        return "s", "R"  # falls off the right but not into accept/reject
 
-    m2 = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, delta_fn=bad_right)
-    assert any("neither accept nor reject" in e for e in validate(m2))
+    def right():
+        return Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, bad_right)
+
+    want = "delta({q!r}, REND) moves right into 's', which is neither accept nor reject"
+    assert refusal(right) == "; ".join(want.format(q=q) for q in ("s", ACCEPT, REJECT))
+
+
+def test_constructor_refuses_a_raising_delta():
+    def delta(q, sym):
+        if q == "q" and sym == identity_symbol(2):
+            raise KeyError("no rule")
+        return (ACCEPT, "R") if sym == REND else ("q", "R")
+
+    def build():
+        return Tdfa(["q", ACCEPT, REJECT], 2, "q", ACCEPT, REJECT, delta)
+
+    assert refusal(build) == "delta('q', 9) failed: 'no rule'"
 
 
 def test_validate_catches_table_gaps():
-    table = {
-        "s": {LEND: ("s", "R"), REND: (ACCEPT, "R")},  # no default
-        ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
-        REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "L"), "default": (REJECT, "R")},
-    }
-    m = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
-    assert any("no default" in e for e in validate(m))
+    s = {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}
+    no_default = {"s": {LEND: ("s", "R"), REND: (ACCEPT, "R")}, **HALTING_RULES}
+    assert refusal(lambda: Tdfa.from_json(table_json(no_default))) == "state 's' has no default rule"
+    undeclared = {"s": s, "ghost": s, **HALTING_RULES}
+    want = "delta has entries for undeclared state 'ghost'"
+    assert refusal(lambda: Tdfa.from_json(table_json(undeclared))) == want
+    missing = {"s": s, ACCEPT: HALTING_RULES[ACCEPT]}
+    assert refusal(lambda: Tdfa.from_json(table_json(missing))) == f"state {REJECT!r} has no transition entries"
 
 
 def test_validate_catches_bad_targets_and_directions():
-    table = {
-        "s": {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("ghost", "X")},
-        ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
-        REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "L"), "default": (REJECT, "R")},
-    }
-    m = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
-    errs = validate(m)
-    assert any("unknown state" in e for e in errs)
+    rules = {"s": {LEND: ("s", "R"), REND: (ACCEPT, "R"), "1": ("s", "X"), "default": ("ghost", "R")}}
+    want = "delta('s', 1) has bad direction 'X'; delta('s', default) targets unknown state 'ghost'"
+    assert refusal(lambda: Tdfa.from_json(table_json({**rules, **HALTING_RULES}))) == want
 
 
 def test_comp_boundary_positions():
@@ -241,7 +272,7 @@ def test_loop_decide_verdict():
             return "p", "L"
         return ("q", "R") if q == "p" else ("p", "L")
 
-    m = Tdfa(["p", "q", ACCEPT, REJECT], 2, "p", ACCEPT, REJECT, delta_fn=delta)
+    m = Tdfa(["p", "q", ACCEPT, REJECT], 2, "p", ACCEPT, REJECT, delta)
     z = OwlString(2, [identity_symbol(2)])
     assert decide(m, z) == LOOP
 
@@ -307,7 +338,6 @@ def test_broken_solver_past_h12_within_the_state_budget():
     # Node sets of at most 2 of 16 nodes: 1 + 16 + 120, plus accept and reject.
     m = build_broken_solver(16, 2)
     assert len(m.states) == sequence.build_sequence(16).N + 3 == 139
-    assert validate(m) == []
     z = OwlString(16, [OwlSymbol(16, [(2, 2)])])
     assert decide(m, z) == ACCEPT
     assert len(build_broken_solver(64, 1).states) == 67
@@ -325,11 +355,10 @@ def test_json_round_trip(tmp_path):
     blob = m.to_json()
     m2 = Tdfa.from_json(blob)
     assert m2.states == m.states
-    assert m2.step("s", LEND) == ("s", "R")
+    assert m2.delta("s", LEND) == ("s", "R")
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(blob))
     m3 = Tdfa.load(str(path))
-    assert validate(m3) == []
     z = OwlString(1, [full_symbol(1)])
     assert decide(m3, z) == decide(m, z)
 
@@ -353,19 +382,10 @@ def test_programmatic_machine_not_serializable():
 
 def test_table_lookup_uses_hex_keys_and_default():
     ident = identity_symbol(1)
-    table = {
-        "s": {
-            LEND: ("s", "R"),
-            REND: (ACCEPT, "R"),
-            ident.to_hex(): (REJECT, "R"),
-            "default": ("s", "R"),
-        },
-        ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
-        REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "L"), "default": (REJECT, "R")},
-    }
-    m = Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, table=table)
-    assert m.step("s", ident) == (REJECT, "R")
-    assert m.step("s", owl.empty_symbol(1)) == ("s", "R")
+    s = {LEND: ("s", "R"), REND: (ACCEPT, "R"), ident.to_hex(): (REJECT, "R"), "default": ("s", "R")}
+    m = Tdfa.from_json(table_json({"s": s, **HALTING_RULES}))
+    assert m.delta("s", ident) == (REJECT, "R")
+    assert m.delta("s", owl.empty_symbol(1)) == ("s", "R")
 
 
 # subset:2 written as a table, with some symbol keys spelled "01", "0A", "00f".
@@ -374,12 +394,11 @@ SUBSET2_TABLE = os.path.join(os.path.dirname(__file__), "subset2_table.json")
 
 def test_table_keys_in_any_hex_spelling_fire():
     m = Tdfa.load(SUBSET2_TABLE)
-    assert validate(m) == []
     ref = build_subset_solver(2)
     assert m.states == ref.states and m.start == ref.start
     for q in ref.states:
         for sym in (LEND, REND, *all_symbols(2)):
-            assert m.step(q, sym) == ref.step(q, sym), (q, sym)
+            assert m.delta(q, sym) == ref.delta(q, sym), (q, sym)
     # Edges (2,1) then (1,1): s3 -> s1, then key "01" keeps s1; live.
     z = OwlString(2, [OwlSymbol.from_mask(2, 4), OwlSymbol.from_mask(2, 1)])
     assert decide(m, z) == ACCEPT
@@ -391,16 +410,16 @@ def test_table_to_json_writes_canonical_hex():
     keys = {k for rules in blob["delta"].values() for k in rules} - {LEND, REND, "default"}
     assert keys == {f"{mask:x}" for mask in range(16)}
     assert "1" in blob["delta"]["s1"] and "01" not in blob["delta"]["s1"]
-    assert Tdfa.from_json(blob).table == m.table
+    assert Tdfa.from_json(blob).delta == m.delta
 
 
 def test_table_keys_are_parsed_when_built():
     def build(*keys):
         rules = {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}
         rules.update((k, (REJECT, "R")) for k in keys)
-        return Tdfa(["s", ACCEPT, REJECT], 2, "s", ACCEPT, REJECT, table={"s": rules})
+        return Tdfa.from_json(table_json({"s": rules, **HALTING_RULES}, h=2))
 
-    assert build("1", "2").step("s", OwlSymbol.from_mask(2, 2)) == (REJECT, "R")
+    assert build("1", "2").delta("s", OwlSymbol.from_mask(2, 2)) == (REJECT, "R")
     for keys in (("1", "01"), ("a", "A"), ("f", "000F")):
         with pytest.raises(ValueError, match="twice"):
             build(*keys)
@@ -409,27 +428,18 @@ def test_table_keys_are_parsed_when_built():
             build(key)
 
 
+# No machine that builds can run off either end in any other way, so
+# verdict, which decide hands every run to, is given such runs directly.
 def test_decide_rejects_left_fall_off():
-    table = {
-        q: {"LEND": ["a", "L"], "REND": [ACCEPT, "R"], "default": ["a", "R"]}
-        for q in ("a", ACCEPT, REJECT)
-    }
-    m = Tdfa(["a", ACCEPT, REJECT], 2, "a", ACCEPT, REJECT, table=table)
-    z = OwlString(2, [identity_symbol(2)])
-    assert run_on_tape(m, z).outcome == HIT_LEFT
-    with pytest.raises(ValueError, match="hit_left"):
-        decide(m, z)
+    m = build_accept_all(2)
+    with pytest.raises(ValueError, match="ends by hit_left in state 'go'"):
+        verdict(m, Computation(HIT_LEFT, "go", 1))
 
 
 def test_decide_rejects_right_exit_into_non_halting_state():
-    def delta(q, sym):
-        return "p", "R"
-
-    m = Tdfa(["p", ACCEPT, REJECT], 2, "p", ACCEPT, REJECT, delta_fn=delta)
-    z = OwlString(2, [identity_symbol(2)])
-    assert run_on_tape(m, z).outcome == HIT_RIGHT
-    with pytest.raises(ValueError, match="'p'"):
-        decide(m, z)
+    m = build_accept_all(2)
+    with pytest.raises(ValueError, match="ends by hit_right in state 'go'"):
+        verdict(m, Computation(HIT_RIGHT, "go", 3))
 
 
 def _reference_subset_like(h, cap):
@@ -497,18 +507,18 @@ def test_subset_transitions_match_reference(h):
             states = [start, ACCEPT, REJECT] + rng.sample(states, min(16, len(states)))
         for q in states:
             for sym in probes:
-                assert m.step(q, sym) == delta(q, sym), (m.name, q, sym)
+                assert m.delta(q, sym) == delta(q, sym), (m.name, q, sym)
 
 
 def _reference_run(m, tape, state, pos, lo, hi):
-    """Step through the public Tdfa.step until the head leaves [lo, hi] or
+    """Step through m.delta until the head leaves [lo, hi] or
     the pigeonhole budget |Q| * len(tape) + 1 is spent."""
     budget = len(m.states) * len(tape) + 1
     trace = [(state, pos)]
     while lo <= pos <= hi:
         if len(trace) > budget:
             return LOOP, None, budget, tuple(trace)
-        state, d = m.step(state, tape[pos - 1])
+        state, d = m.delta(state, tape[pos - 1])
         pos += 1 if d == "R" else -1
         trace.append((state, pos))
     return (HIT_LEFT if pos < lo else HIT_RIGHT), state, len(trace) - 1, tuple(trace)
@@ -520,13 +530,13 @@ def bouncing_table_machine(h=3):
     endmarked runs loop on any string with a full symbol, and so do its bare
     runs through an empty symbol and then a full one."""
     full, empty = full_symbol(h).to_hex(), owl.empty_symbol(h).to_hex()
-    table = {
+    rules = {
         "p": {LEND: ("p", "R"), REND: (ACCEPT, "R"), full: ("q", "L"), "default": ("p", "R")},
         "q": {LEND: ("p", "R"), REND: (REJECT, "R"), empty: ("p", "R"), "default": ("q", "L")},
         ACCEPT: {LEND: (ACCEPT, "R"), REND: (ACCEPT, "R"), "default": (ACCEPT, "R")},
         REJECT: {LEND: (REJECT, "R"), REND: (REJECT, "R"), "default": (REJECT, "R")},
     }
-    return Tdfa(["p", "q", ACCEPT, REJECT], h, "p", ACCEPT, REJECT, table=table)
+    return Tdfa.from_json(table_json(rules, h=h, states=("p", "q", ACCEPT, REJECT)))
 
 
 def test_simulator_matches_reference_loop():
@@ -537,7 +547,6 @@ def test_simulator_matches_reference_loop():
         build_accept_all(3),
         bouncing_table_machine(3),
     ]
-    assert all(validate(m) == [] for m in machines)
     rng = random.Random(7)
     pool = [owl.empty_symbol(3), identity_symbol(3), full_symbol(3)]
 
