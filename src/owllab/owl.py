@@ -131,6 +131,8 @@ class OwlString:
         return cls.from_json(obj)
 
 
+# Cached like all_symbols: sample_member pads every sample with it.
+@functools.lru_cache(maxsize=8)
 def identity_symbol(h: int) -> OwlSymbol:
     return representative_symbol(matrix.identity(h))
 

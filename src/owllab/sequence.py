@@ -107,29 +107,35 @@ class ConnectivitySequence:
         return {"h": self.h, "matrices": [m.row_hex() for m in self.matrices]}
 
 
+def _chain(h: int):
+    """Yield C_0 .. C_N for height h, the chain's one builder. Each step is
+    cross-checked against its widened increment before it is yielded, and
+    stage 2 must end all-ones. Only the matrix last yielded is kept here, so
+    a caller that drops each one holds no more of the chain than it keeps."""
+    u, n = num_upper(h), chain_length(h)
+    cur = matrix.identity(h)
+    yield cur
+    for t in range(1, n):
+        if t <= u:
+            plain = matrix.add(cur, e_matrix(t, h))
+            primed = matrix.add(cur, e_prime(t, h))
+        else:
+            plain = matrix.add(cur, d_matrix(t, h))
+            primed = matrix.add(cur, d_prime(t, h))
+        if plain != primed:
+            raise AssertionError(f"plain/widened increment disagree at t={t}, h={h}")
+        cur = plain
+        yield cur
+    if cur != matrix.all_ones(h):
+        raise AssertionError(f"stage 2 did not end all-ones for h={h}")
+    yield matrix.zero(h)
+
+
 def build_sequence(h: int) -> ConnectivitySequence:
     """All chain matrices for height h, cross-checked against the widened
     increments."""
     matrix._check_h(h)
-    u, n = num_upper(h), chain_length(h)
-    mats = [matrix.identity(h)]
-    for t in range(1, u + 1):
-        plain = matrix.add(mats[-1], e_matrix(t, h))
-        primed = matrix.add(mats[-1], e_prime(t, h))
-        if plain != primed:
-            raise AssertionError(f"plain/widened increment disagree at t={t}, h={h}")
-        mats.append(plain)
-    for t in range(u + 1, n):
-        plain = matrix.add(mats[-1], d_matrix(t, h))
-        primed = matrix.add(mats[-1], d_prime(t, h))
-        if plain != primed:
-            raise AssertionError(f"plain/widened increment disagree at t={t}, h={h}")
-        mats.append(plain)
-    if mats[-1] != matrix.all_ones(h):
-        raise AssertionError(f"stage 2 did not end all-ones for h={h}")
-    mats.append(matrix.zero(h))
-    assert len(mats) == n + 1
-    return ConnectivitySequence(h, tuple(mats))
+    return ConnectivitySequence(h, tuple(_chain(h)))
 
 
 @dataclass
@@ -174,28 +180,31 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
     sampled separation-context and forcing-suffix contracts through the
     string-level liveness oracle.
     """
-    seq = build_sequence(h)
-    rep = SequenceReport(h, seq.U, seq.N)
+    matrix._check_h(h)
+    u, n = num_upper(h), chain_length(h)
+    rep = SequenceReport(h, u, n)
     rng = random.Random(seed)
     zero_rows = (0,) * h
     # Oracle sampling is O(h^2) strings; thin out the t range for large h
     # so the whole [1, 64] sweep stays fast.
-    oracle_stride = max(1, seq.N // 64) if oracle_samples else 0
+    oracle_stride = max(1, n // 64) if oracle_samples else 0
     # Each product is compared as its row tuple; no matrix is built for it.
     prod = matrix._product_rows
     check = rep._check
-    for t in range(seq.N + 1):
-        ct = seq[t]
+    # Every check reads only C_{t-1} and C_t, so the chain is streamed: a
+    # matrix and the product memo its checks fill are dropped two steps on.
+    ct = None
+    for t, step in enumerate(_chain(h)):
+        prev, ct = ct, step
         check(prod(ct.rows, ct) == ct.rows, "C_%d^2 != C_%d (h=%d)", t, t, h)
         if t == 0:
             continue
-        prev = seq[t - 1]
         check(prev != ct, "C_%d == C_%d (h=%d)", t - 1, t, h)
         check(prod(prev.rows, ct) == ct.rows, "C_%dC_%d != C_%d (h=%d)", t - 1, t, t, h)
         check(prod(ct.rows, prev) == ct.rows, "C_%dC_%d != C_%d (h=%d)", t, t - 1, t, h)
-        if t < seq.N:
+        if t < n:
             check(matrix.leq(prev, ct), "C_%d lost a 1 of C_%d (h=%d)", t, t - 1, h)
-        if 1 <= t <= seq.U:
+        if 1 <= t <= u:
             i, j = cell_index(t, h)
             ep = e_prime(t, h)
             e_i, r_j = 1 << (i - 1), _tail_bits(j, h)
@@ -206,7 +215,7 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
             check(not r_j & e_i, "inner(r_%d, e_%d) != 0 (h=%d)", j, i, h)
             check(mat_vec(prev, e_i) == e_i, "C_%de_%d != e_%d (h=%d)", t - 1, i, i, h)
             check(vec_mat(r_j, prev) == r_j, "r_%dC_%d != r_%d (h=%d)", j, t - 1, j, h)
-        elif t < seq.N:
+        elif t < n:
             j = stage2_column(t, h)
             dp = d_prime(t, h)
             one, r_j = (1 << h) - 1, _tail_bits(j, h)
@@ -217,7 +226,7 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
             check(r_j & one, "inner(r_%d, 1) != 1 (h=%d)", j, h)
             check(mat_vec(prev, one) == one, "C_%d*ones != ones (h=%d)", t - 1, h)
             check(vec_mat(r_j, prev) == r_j, "r_%dC_%d != r_%d (h=%d)", j, t - 1, j, h)
-        if oracle_stride and (t % oracle_stride == 0 or t == seq.N):
+        if oracle_stride and (t % oracle_stride == 0 or t == n):
             _check_contracts(rep, prev, ct, t, h, rng, oracle_samples)
     return rep
 

@@ -211,7 +211,8 @@ def _violations(m: Tdfa) -> list[str]:
                 f"delta({q!r}, REND) moves right into {res[0]!r}, "
                 "which is neither accept nor reject"
             )
-    for sym in (empty_symbol(m.h), identity_symbol(m.h), full_symbol(m.h)):
+    # At h = 1 the identity is the full symbol; probe it, and report it, once.
+    for sym in dict.fromkeys((empty_symbol(m.h), identity_symbol(m.h), full_symbol(m.h))):
         symname = sym.to_hex()
         for q in m.states:
             result(q, symname, sym)

@@ -341,6 +341,7 @@ def test_named_symbols_equal_their_edge_list_forms():
         assert empty_symbol(h) == OwlSymbol(h, [])
         assert full_symbol(h) == OwlSymbol(h, [(i, j) for i in nodes for j in nodes])
         assert type(identity_symbol(h).rows) is tuple
+        assert identity_symbol(h) is identity_symbol(h)  # cached per height
     for make in (identity_symbol, empty_symbol, full_symbol):
         for bad in (0, 65, True):
             with pytest.raises(ValueError):

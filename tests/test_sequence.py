@@ -1,6 +1,7 @@
 """Unit tests for the connectivity chain and its verification suite."""
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
@@ -212,6 +213,48 @@ def test_nothing_is_retained_between_calls():
     del seq, ep
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_verify_holds_two_chain_matrices_not_the_chain():
+    # verify_sequence streams the chain, so its traced peak is the two
+    # matrices it reads and their memos, not the N + 1 that build_sequence
+    # returns. h = 32 keeps the row tuples past the interpreter's tuple free
+    # list, which tracemalloc would count as still held.
+    h = 32
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seq = build_sequence(h)
+        held = tracemalloc.get_traced_memory()[0]
+        del seq
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = verify_sequence(h, oracle_samples=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.ok, rep.failures
+    assert peak < held / 10, (peak, held)
+
+
+def test_chain_cross_check_names_the_step(monkeypatch):
+    # A widened increment that misses its own cell disagrees with the plain
+    # one; both the builder and the verifier stop at that step.
+    bad_t = 7
+
+    def dropped(t, h):
+        ep = e_prime(t, h)
+        if t != bad_t:
+            return ep
+        return BoolMatrix(h, tuple(row & (row - 1) for row in ep.rows))
+
+    monkeypatch.setattr(sequence, "e_prime", dropped)
+    want = f"plain/widened increment disagree at t={bad_t}, h=6"
+    with pytest.raises(AssertionError, match=want):
+        build_sequence(6)
+    with pytest.raises(AssertionError, match=want):
+        verify_sequence(6)
 
 
 # checks_run per height as first recorded; the work done must not change.

@@ -163,6 +163,21 @@ def test_constructor_refuses_a_raising_delta():
     assert refusal(build) == "delta('q', 9) failed: 'no rule'"
 
 
+def test_constructor_reports_each_probe_symbol_once():
+    # At h = 1 the identity symbol is the full symbol, so the three probe
+    # symbols are two, and a delta that fails on both is refused once for each.
+    def delta(q, sym):
+        if sym == LEND:
+            return (q, "R")
+        if sym == REND:
+            return (ACCEPT, "R")
+        raise KeyError("no rule")
+
+    states = ["q", ACCEPT, REJECT]
+    want = "; ".join(f"delta({q!r}, {x}) failed: 'no rule'" for x in "01" for q in states)
+    assert refusal(lambda: Tdfa(states, 1, "q", ACCEPT, REJECT, delta)) == want
+
+
 def test_validate_catches_table_gaps():
     s = {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}
     no_default = {"s": {LEND: ("s", "R"), REND: (ACCEPT, "R")}, **HALTING_RULES}
