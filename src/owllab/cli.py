@@ -31,6 +31,10 @@ class CliError(Exception):
     pass
 
 
+# An integer as the command line spells it: ASCII decimal digits with an
+# optional minus. int() alone also takes "+3", " 3", "1_0" and non-ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 # (name, parts in the spec) -> builder taking the integer parts
 _BUILTINS = {
     ("accept_all", 2): tdfa.build_accept_all,
@@ -45,8 +49,8 @@ def load_machine(spec: str) -> Tdfa:
     parts = spec.split(":")
     build = _BUILTINS.get((parts[0], len(parts)))
     if build is not None:
-        for part in parts[1:]:  # int() also takes "+3", " 3", "1_0" and non-ASCII digits
-            if not re.fullmatch(r"-?[0-9]+", part):
+        for part in parts[1:]:
+            if not _DECIMAL.fullmatch(part):
                 raise CliError(f"bad machine spec {spec!r}: {part!r} is not a decimal integer")
         try:
             return build(*map(int, parts[1:]))
@@ -220,8 +224,15 @@ def cmd_fuzz(args) -> tuple[int, dict]:
     return code, res.to_json()
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, refused unless it matches `_DECIMAL`."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer")
+    return int(text)
+
+
 def count(text: str) -> int:
-    n = int(text)
+    n = integer(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
     return n
@@ -238,7 +249,7 @@ def _global_flags(defaults: bool) -> argparse.ArgumentParser:
 
     g = argparse.ArgumentParser(add_help=False)
     g.add_argument("--format", choices=["json", "pretty"], default=default("json"))
-    g.add_argument("--seed", type=int, default=default(0))
+    g.add_argument("--seed", type=integer, default=default(0))
     g.add_argument(
         "--no-timing",
         action="store_true",
@@ -265,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, help="input string JSON file")
 
     sp = add_parser("seq", help="emit chain matrices")
-    sp.add_argument("--height", type=int, required=True)
-    sp.add_argument("--index", type=int, help="emit a single matrix as text")
+    sp.add_argument("--height", type=integer, required=True)
+    sp.add_argument("--index", type=integer, help="emit a single matrix as text")
     sp.add_argument("--kind", choices=["c", "e", "eprime", "d", "dprime"], default="c")
     sp.set_defaults(func=cmd_seq)
 
     sp = add_parser("verify-seq", help="machine-check every chain identity")
-    sp.add_argument("--height", type=int, required=True)
+    sp.add_argument("--height", type=integer, required=True)
     sp.set_defaults(func=cmd_verify_seq)
 
     sp = add_parser("run", help="decide one input")
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("generic", help="bounded genericity descent")
     machine_opts(sp)
-    sp.add_argument("--conn", type=int, help="chain index of the target connectivity")
+    sp.add_argument("--conn", type=integer, help="chain index of the target connectivity")
     sp.add_argument("--matrix", help="text matrix file with the target connectivity")
     sp.add_argument("--side", choices=["lr", "rl"], default="lr")
     sp.add_argument("--max-ext-len", type=count, default=1)
@@ -300,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("pump", help="pumping attack at one chain step")
     machine_opts(sp)
-    sp.add_argument("--index", type=int, required=True, help="chain step t >= 1")
+    sp.add_argument("--index", type=integer, required=True, help="chain step t >= 1")
     sp.add_argument("--max-ext-len", type=count, default=1)
     sp.set_defaults(func=cmd_pump)
 

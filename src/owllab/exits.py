@@ -192,11 +192,14 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
 class _Alphabet:
     """A generator list indexed by rows: `rows[k]` pairs each value r that
     row k of some generator takes with the generators whose row k is r, as
-    a bitset of their positions in `symbols`. It depends only on the list,
-    so the descent builds it once per height (`_alphabet`)."""
+    a bitset of their positions in `symbols`; `matrices[i]` is the matrix
+    of `symbols[i]`, whose product memo every extension scan longer than
+    one letter reuses. It depends only on the list, so the descent builds
+    it once per height (`_alphabet`)."""
 
     symbols: tuple[OwlSymbol, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    matrices: tuple[BoolMatrix, ...]
 
     @classmethod
     def of(cls, generators) -> _Alphabet:
@@ -208,7 +211,8 @@ class _Alphabet:
         for pos, g in enumerate(symbols):
             for k, r in enumerate(g.rows):
                 positions[k][r] = positions[k].get(r, 0) | 1 << pos
-        return cls(symbols, tuple(tuple(by_value.items()) for by_value in positions))
+        rows = tuple(tuple(by_value.items()) for by_value in positions)
+        return cls(symbols, rows, tuple(matrix._trusted(g.h, g.rows) for g in symbols))
 
 
 @functools.lru_cache(maxsize=8)
@@ -274,7 +278,6 @@ def _extensions(
                 t ^= low
         return ok
 
-    mats = [owl.symbol_matrix(g) for g in gens] if max_ext_len > 1 else []
     # Prefix products stay row tuples: they key last_letters and feed the
     # product kernel, and are never wrapped as matrices.
     last_letters = {}  # prefix product rows -> the generators that end an in-property word
@@ -290,7 +293,10 @@ def _extensions(
                 yield word + (gens[low.bit_length() - 1],)
                 ok ^= low
             if length < max_ext_len:
-                nxt.extend((word + (g,), matrix._product_rows(prod, c)) for g, c in zip(gens, mats))
+                nxt.extend(
+                    (word + (g,), matrix._product_rows(prod, c))
+                    for g, c in zip(gens, alphabet.matrices)
+                )
         frontier = nxt
 
 

@@ -155,11 +155,13 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(syms)
 
 
-# Room for the whole h = 3 alphabet (512 symbols, whose matrices every scan
-# for extensions longer than one letter multiplies by again). Connectivity
-# folds look up each symbol after the first here, so a repeated symbol keeps
-# its product memo across calls; is_live never looks anything up.
-@functools.lru_cache(maxsize=4096)
+# A connectivity fold's working set: the identity padding and the few
+# representatives a chain check has just sampled, so a repeated symbol keeps
+# its product memo across folds. 64 holds that with room to spare, and
+# bounds what a long run keeps alive; extension scans keep their
+# generators' matrices on the alphabet (exits._Alphabet). is_live never
+# looks anything up.
+@functools.lru_cache(maxsize=64)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""
     return matrix._trusted(a.h, a.rows)

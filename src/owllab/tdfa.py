@@ -12,8 +12,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .matrix import _check_h
 from .owl import OwlString, OwlSymbol, empty_symbol, full_symbol, identity_symbol
@@ -31,9 +30,10 @@ ACCEPT = "accept"
 REJECT = "reject"
 
 
-@dataclass(frozen=True)
-class Computation:
-    """Result of running a machine on a bare string from a given configuration."""
+class Computation(NamedTuple):
+    """Result of running a machine on a bare string from a given configuration.
+    A named tuple: immutable, and cheaper to build than a frozen dataclass,
+    which matters because exit analysis builds one per state per string."""
 
     outcome: str  # HIT_LEFT | HIT_RIGHT | LOOP
     state: Optional[str]  # exit state; None when looping
@@ -324,44 +324,40 @@ _MAX_SUBSET_STATES = (1 << 12) + 2
 
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     """States `s<mask>` for every node set of at most cap nodes, by mask
-    value, plus accept and reject. The names are built once; a step looks
-    them up."""
+    value, plus accept and reject. The names, and each state's nodes as row
+    indices, are built once; a step ORs the symbol's rows at those indices
+    and looks the image up, truncating it only when it has more than cap
+    nodes and so names no state."""
     _check_h(h)  # before the shift and math.comb below, which a negative h would break
     size = sum(math.comb(h, n) for n in range(cap + 1)) + 2
     if size > _MAX_SUBSET_STATES:
         raise ValueError(f"{size} states at h={h}, cap={cap}; at most {_MAX_SUBSET_STATES} are allowed")
     full = (1 << h) - 1
     sets = (nodes for n in range(cap + 1) for nodes in itertools.combinations(range(h), n))
-    masks = sorted(sum(1 << i for i in nodes) for nodes in sets)
-    name_of = {m: f"s{m}" for m in masks}
-    mask_of = {q: m for m, q in name_of.items()}
-    mask_of[ACCEPT] = mask_of[REJECT] = None
+    by_mask = sorted((sum(1 << i for i in nodes), nodes) for nodes in sets)
+    name_of = {m: f"s{m}" for m, _ in by_mask}
+    nodes_of = {name_of[m]: nodes for m, nodes in by_mask}
+    nodes_of[ACCEPT] = nodes_of[REJECT] = None
     start = name_of[_truncate_mask(full, cap)]
     empty_set = name_of[0]
-    truncating = cap < h
 
     def delta(q: str, sym) -> tuple[str, str]:
+        nodes = nodes_of[q]
         if sym.__class__ is str:  # an endmarker; cheaper than OwlSymbol.__eq__
             if sym == LEND:
                 return start, "R"
-            mask = mask_of[q]
-            if mask is None:
+            if nodes is None:
                 return q, "R"
-            return (ACCEPT if mask else REJECT), "R"
-        mask = mask_of[q]
-        if mask is None:
+            return (ACCEPT if nodes else REJECT), "R"
+        if nodes is None:
             return empty_set, "R"
         rows = sym.rows
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= rows[low.bit_length() - 1]
-            mask ^= low
-        if truncating and out.bit_count() > cap:
-            out = _truncate_mask(out, cap)
-        return name_of[out], "R"
+        for k in nodes:
+            out |= rows[k]
+        return name_of.get(out) or name_of[_truncate_mask(out, cap)], "R"
 
-    states = [name_of[m] for m in masks] + [ACCEPT, REJECT]
+    states = [name_of[m] for m, _ in by_mask] + [ACCEPT, REJECT]
     return Tdfa(states, h, start, ACCEPT, REJECT, delta, name=name)
 
 

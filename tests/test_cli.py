@@ -352,6 +352,13 @@ MALFORMED_FILES = {
         "chain --machine broken:3:+1",
         "chain --machine subset:2 --max-ext-len -1",
         "pump --machine subset:2 --index 1 --max-ext-len -1",
+        "verify-seq --height 1_0",
+        "seq --height 2 --index +1",
+        "fuzz --machine subset:2 --samples \u0663",
+        "fuzz --machine subset:2 --seed +5",
+        "--seed +5 fuzz --machine subset:2",
+        "generic --machine subset:2 --conn 1_0",
+        "pump --machine subset:2 --index \u0661",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -381,6 +388,17 @@ def test_machine_spec_parts_are_decimal_digits_only(capsys):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: bad machine spec 'subset: 3': ' 3' is not a decimal integer"]
+
+
+def test_integer_flags_are_decimal_digits_only(capsys):
+    # The rows above cover "1_0", "+5" and non-ASCII digits.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-seq", "--height", " 2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --height: ' 2' is not a decimal integer" in err
+    assert "Traceback" not in err
+    assert run_cli(capsys, "--no-timing", "--seed", "-5", "verify-seq", "--height", "2")[0] == 0
 
 
 def test_machine_spec_over_the_state_budget_is_a_usage_error(capsys):

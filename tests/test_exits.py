@@ -326,6 +326,21 @@ def test_extensions_match_brute_force_h4_length_2(t):
     assert_filter_matches(default_generators(4), 2, sequence.build_sequence(4)[t])
 
 
+def test_extensions_multiply_by_the_alphabet_matrices(monkeypatch):
+    # Words longer than one letter extend prefix products by each generator's
+    # matrix, which the alphabet holds, not the symbol_matrix cache.
+    gens = default_generators(4)
+    target = sequence.build_sequence(4)[6]
+    want = brute_force_extensions(gens, 2, target, LR)
+
+    def refuse(a):
+        raise AssertionError("_extensions looked up symbol_matrix")
+
+    monkeypatch.setattr(owl, "symbol_matrix", refuse)
+    assert filtered_extensions(gens, 2, target, LR) == want
+    assert any(len(word) == 2 for word in want)
+
+
 def test_extensions_match_brute_force_h3_length_2_unsorted():
     # 19 distinct seeded symbols in draw order, then the second of them again.
     gens = [OwlSymbol.from_mask(3, mask) for mask in random.Random(5).sample(range(512), 19)]
@@ -376,6 +391,7 @@ def test_alphabet_rows_index_generator_positions():
     gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident)
     alphabet = exits._Alphabet.of(gens)
     assert alphabet.symbols == gens
+    assert alphabet.matrices == tuple(owl.connectivity(OwlString(2, [g])) for g in gens)
     for k, pairs in enumerate(alphabet.rows):
         assert type(pairs) is tuple
         want = {}

@@ -1,12 +1,13 @@
 """Unit tests for the connectivity chain and its verification suite."""
 
+import functools
 import gc
 import tracemalloc
 import weakref
 
 import pytest
 
-from owllab import matrix, sequence
+from owllab import matrix, owl, sequence
 from owllab.matrix import BoolMatrix
 from owllab.sequence import (
     ConnectivitySequence,
@@ -213,6 +214,22 @@ def test_nothing_is_retained_between_calls():
     del seq, ep
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
+
+
+def test_symbol_matrix_cache_stays_bounded_without_losing_a_hit(monkeypatch):
+    # The cache holds a fold's working set, not every representative the
+    # contract checks ever sampled: an unbounded cache would hit no more.
+    def run():
+        owl.symbol_matrix.cache_clear()
+        for h in (16, 20, 24):
+            assert verify_sequence(h).ok
+        return owl.symbol_matrix.cache_info()
+
+    bounded = run()
+    assert bounded.currsize <= bounded.maxsize < bounded.misses
+    unbounded = functools.lru_cache(maxsize=None)(owl.symbol_matrix.__wrapped__)
+    monkeypatch.setattr(owl, "symbol_matrix", unbounded)
+    assert run().hits == bounded.hits
 
 
 def test_verify_holds_two_chain_matrices_not_the_chain():

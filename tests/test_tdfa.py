@@ -525,6 +525,14 @@ def test_subset_transitions_match_reference(h):
                 assert m.delta(q, sym) == delta(q, sym), (m.name, q, sym)
 
 
+def test_computation_is_immutable():
+    c = Computation(HIT_RIGHT, "go", 3)
+    assert c.trace is None
+    with pytest.raises(AttributeError):
+        c.steps = 4
+    assert c == Computation(HIT_RIGHT, "go", 3, None)
+
+
 def _reference_run(m, tape, state, pos, lo, hi):
     """Step through m.delta until the head leaves [lo, hi] or
     the pigeonhole budget |Q| * len(tape) + 1 is spent."""
