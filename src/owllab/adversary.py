@@ -137,9 +137,10 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     different liveness decided identically.
     """
     h = m.h
+    n = sequence.chain_length(h)
+    if not 1 <= t <= n:
+        raise ValueError(f"t={t} outside [1, {n}] for h={h}")
     seq = sequence.build_sequence(h)
-    if not 1 <= t <= seq.N:
-        raise ValueError(f"t={t} outside [1, {seq.N}] for h={h}")
     c_prev, c_next = seq[t - 1], seq[t]
 
     theta, _, _ = both_sides_generic(m, c_prev, max_ext_len)
@@ -199,64 +200,52 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     return cex
 
 
-@dataclass
-class ExitChainEntry:
-    """Chain step t: its LR and RL certificates, whose exit sizes are a and b."""
-
-    t: int
-    lr_cert: GenericCertificate
-    rl_cert: GenericCertificate
-
-    @property
-    def a(self) -> int:
-        return self.lr_cert.exit_size
-
-    @property
-    def b(self) -> int:
-        return self.rl_cert.exit_size
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "a": self.a,
-            "b": self.b,
-            "lr": self.lr_cert.to_json(),
-            "rl": self.rl_cert.to_json(),
-        }
-
-
 def _decrements(sizes: list[int]) -> int:
     return sum(1 for p, n in itertools.pairwise(sizes) if n < p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExitChainReport:
-    """Bounded exit-size estimates along the whole chain."""
+    """Bounded exit-size estimates along the whole chain: `certs[t]` is the
+    (LR, RL) certificate pair of chain step t, whose exit sizes are a_t and
+    b_t."""
 
     machine_name: str
     h: int
-    entries: list[ExitChainEntry]
+    certs: tuple[tuple[GenericCertificate, GenericCertificate], ...]
     max_ext_len: int
 
     @property
+    def a_sizes(self) -> list[int]:
+        return [lr.exit_size for lr, _ in self.certs]
+
+    @property
+    def b_sizes(self) -> list[int]:
+        return [rl.exit_size for _, rl in self.certs]
+
+    @property
     def a_decrements(self) -> int:
-        return _decrements([e.a for e in self.entries])
+        return _decrements(self.a_sizes)
 
     @property
     def b_decrements(self) -> int:
-        return _decrements([e.b for e in self.entries])
+        return _decrements(self.b_sizes)
 
     @property
     def implied_bound(self) -> int:
         return max(self.a_decrements, self.b_decrements)
 
     def to_json(self) -> dict:
+        chain = [
+            {"t": t, "a": lr.exit_size, "b": rl.exit_size, "lr": lr.to_json(), "rl": rl.to_json()}
+            for t, (lr, rl) in enumerate(self.certs)
+        ]
         return {
             "machine": self.machine_name,
             "h": self.h,
-            "chain": [e.to_json() for e in self.entries],
-            "a_sizes": [e.a for e in self.entries],
-            "b_sizes": [e.b for e in self.entries],
+            "chain": chain,
+            "a_sizes": self.a_sizes,
+            "b_sizes": self.b_sizes,
             "a_decrements": self.a_decrements,
             "b_decrements": self.b_decrements,
             "implied_bound": self.implied_bound,
@@ -274,19 +263,14 @@ def exit_chain(m: Tdfa, max_ext_len: int = 1) -> ExitChainReport:
     the forcing suffix, so the estimates inherit the monotonicity the exact
     sizes have and cannot bounce upward from search noise.
     """
-    seq = sequence.build_sequence(m.h)
-    entries: list[ExitChainEntry] = []
-    for t in range(seq.N + 1):
-        target = seq[t]
-        starts = (None, None)
-        if entries:
-            suffix = OwlString(m.h, [owl.suffix_of_choice_witness(seq[t - 1], target)])
-            prev = entries[-1]
-            seeds = [exits.extend(c.y, suffix, c.side) for c in (prev.lr_cert, prev.rl_cert)]
-            starts = [s if owl.connectivity(s) == target else None for s in seeds]
-        certs = _descend_both(m, target, max_ext_len, starts)
-        entries.append(ExitChainEntry(t, *certs))
-    return ExitChainReport(m.name, m.h, entries, max_ext_len)
+    chain = sequence.build_sequence(m.h).matrices
+    certs = [_descend_both(m, chain[0], max_ext_len)]
+    for prev, target in itertools.pairwise(chain):
+        suffix = OwlString(m.h, [owl.suffix_of_choice_witness(prev, target)])
+        seeds = [exits.extend(c.y, suffix, c.side) for c in certs[-1]]
+        starts = [s if owl.connectivity(s) == target else None for s in seeds]
+        certs.append(_descend_both(m, target, max_ext_len, starts))
+    return ExitChainReport(m.name, m.h, tuple(certs), max_ext_len)
 
 
 def differential_fuzz(

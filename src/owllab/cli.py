@@ -117,8 +117,9 @@ def _report(args, command: str, result: dict, started: float) -> dict:
 
 
 def _chain_matrix(seq: sequence.ConnectivitySequence, t: int, flag: str) -> BoolMatrix:
-    if not 0 <= t <= seq.N:
-        raise CliError(f"{flag} must be in [0, {seq.N}] for h={seq.h}")
+    n = sequence.chain_length(seq.h)
+    if not 0 <= t <= n:
+        raise CliError(f"{flag} must be in [0, {n}] for h={seq.h}")
     return seq[t]
 
 
@@ -138,6 +139,8 @@ def cmd_seq(args) -> tuple[int, dict | str]:
         except ValueError as exc:
             raise CliError(str(exc))
         return EXIT_OK, mat.to_text()
+    if args.kind != "c":
+        raise CliError(f"--kind {args.kind} needs --index")
     return EXIT_OK, seq.to_json()
 
 
@@ -168,7 +171,7 @@ def cmd_exits(args) -> tuple[int, dict]:
     return EXIT_OK, {
         "side": args.side,
         "exit_states": sorted(tm.exit_states),
-        "exit_size": tm.exit_size,
+        "exit_size": len(tm.exit_states),
         "outcomes": {
             q: {"outcome": c.outcome, "state": c.state, "steps": c.steps}
             for q, c in sorted(tm.outcomes.items())

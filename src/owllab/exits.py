@@ -43,10 +43,6 @@ class TraversalMap:
         want = _FAR_END[self.side]
         return frozenset(c.state for c in self.outcomes.values() if c.outcome == want)
 
-    @property
-    def exit_size(self) -> int:
-        return len(self.exit_states)
-
 
 def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
     if side not in _FAR_END:
@@ -57,7 +53,7 @@ def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
 
 
 def exit_size(m: Tdfa, y: OwlString, side: str) -> int:
-    return traversal_map(m, y, side).exit_size
+    return len(traversal_map(m, y, side).exit_states)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,7 @@ class _RowMemo(dict):
     in the same way if missing too) ORed with one row. Chain matrices' rows
     share their tails, so a miss mostly costs one or two ORs, not one per set
     bit, and `_product_rows` maps the lookup over the left rows in C. The
-    zero row is stored up front, so a miss always has a lowest bit. On
-    verify_sequence at h = 40, 48, 56 and 64 (10 alternating fresh-process
-    pairs, 2-vCPU x86 host, CPython 3.11) this product path, with `_trusted`
-    below, took the median CPU time from 3.02 s to 2.06 s; the one before it
-    looped over the left rows in Python, ORed one row per set bit from a
-    global cache of set-bit lists, and validated every product.
+    zero row is stored up front, so a miss always has a lowest bit.
     """
 
     __slots__ = ("brows",)
@@ -104,9 +99,6 @@ class BoolMatrix:
     def cells(self) -> list[tuple[int, int]]:
         """All 1-cells in row-major order."""
         return _cells(self.rows)
-
-    def is_zero(self) -> bool:
-        return not any(self.rows)
 
     def to_text(self) -> str:
         """h lines of h characters from {0,1}, newline-terminated."""

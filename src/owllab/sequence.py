@@ -89,19 +89,8 @@ class ConnectivitySequence:
     h: int
     matrices: tuple[BoolMatrix, ...]
 
-    @property
-    def U(self) -> int:
-        return num_upper(self.h)
-
-    @property
-    def N(self) -> int:
-        return chain_length(self.h)
-
     def __getitem__(self, t: int) -> BoolMatrix:
         return self.matrices[t]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
 
     def to_json(self) -> dict:
         return {"h": self.h, "matrices": [m.row_hex() for m in self.matrices]}

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 from .matrix import _check_h
@@ -41,6 +42,7 @@ class Computation(NamedTuple):
     trace: Optional[tuple[tuple[str, int], ...]] = None  # set only by run_on_tape
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Tdfa:
     """2DFA with named states and a total transition function
     `delta(state, tape symbol) -> (state, direction)`.
@@ -50,30 +52,25 @@ class Tdfa:
     reject; every state moves right off the left endmarker and moves left on
     the right endmarker unless it steps right into accept or reject (the only
     way to halt); and delta gives a (declared state, "L"/"R") pair. A machine
-    file's rules become a `_Table` delta (see `from_json`).
+    file's rules become a `_Table` delta (see `from_json`). The machine is
+    frozen, so no later assignment can skip these checks; equality and
+    hashing are by identity.
     """
 
-    def __init__(
-        self,
-        states,
-        h: int,
-        start: str,
-        accept: str,
-        reject: str,
-        delta: Callable[[str, TapeSymbol], tuple[str, str]],
-        name: str = "tdfa",
-    ):
-        _check_h(h)
-        self.states = tuple(states)
-        self.h = h
-        self.start = start
-        self.accept = accept
-        self.reject = reject
-        self.delta = delta
-        self.name = name
+    states: tuple[str, ...]
+    h: int
+    start: str
+    accept: str
+    reject: str
+    delta: Callable[[str, TapeSymbol], tuple[str, str]]
+    name: str = "tdfa"
+
+    def __post_init__(self) -> None:
+        _check_h(self.h)
+        object.__setattr__(self, "states", tuple(self.states))
         errs = _violations(self)
         if errs:
-            raise _invalid(name, errs)
+            raise _invalid(self.name, errs)
 
     def to_json(self) -> dict:
         if not isinstance(self.delta, _Table):

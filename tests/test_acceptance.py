@@ -50,8 +50,9 @@ def random_string(rng, h, max_len):
 def criterion_1():
     seq = sequence.build_sequence(5)
     mismatches = []
-    if (seq.U, seq.N) != (10, 15):
-        mismatches.append(f"U,N = {seq.U},{seq.N}")
+    u, n = sequence.num_upper(5), sequence.chain_length(5)
+    if (u, n, len(seq.matrices)) != (10, 15, 16):
+        mismatches.append(f"U,N = {u},{n} with {len(seq.matrices)} matrices")
     expected = [(f"C_{t}", seq[t].to_text(), text) for t, text in CHAIN_H5.items()]
     expected += [(f"E_{t}", sequence.e_matrix(t, 5).to_text(), x) for t, x in E_H5.items()]
     expected += [
@@ -64,8 +65,8 @@ def criterion_1():
     mismatches += [label for label, got, want in expected if got != want]
     return {
         "h": 5,
-        "U": seq.U,
-        "N": seq.N,
+        "U": u,
+        "N": n,
         "matrices_checked": len(expected),
         "mismatches": mismatches,
     }
@@ -201,7 +202,7 @@ def criterion_6():
     for h in range(2, 6):
         seq = sequence.build_sequence(h)
         rng = random.Random(0)
-        for t in range(1, seq.N + 1):
+        for t in range(1, sequence.chain_length(h) + 1):
             prev, ct = seq[t - 1], seq[t]
             u, v, swapped = owl.separation_context(prev, ct)
             ustr, vstr = OwlString(h, [u]), OwlString(h, [v])
@@ -264,9 +265,8 @@ def criterion_8():
     out = {}
     for h in (2, 3):
         m = tdfa.build_subset_solver(h)
-        seq = sequence.build_sequence(h)
         pump_outcomes = []
-        for t in range(1, seq.N + 1):
+        for t in range(1, sequence.chain_length(h) + 1):
             res = adversary.pump(m, t)
             pump_outcomes.append(
                 {
@@ -276,8 +276,7 @@ def criterion_8():
                 }
             )
         chain = adversary.exit_chain(m)
-        a_sizes = [e.a for e in chain.entries]
-        b_sizes = [e.b for e in chain.entries]
+        a_sizes, b_sizes = chain.a_sizes, chain.b_sizes
         out[f"subset_h{h}"] = {
             "pump": pump_outcomes,
             "a_sizes": a_sizes,

@@ -53,8 +53,7 @@ def test_pump_json_elides_huge_inputs(monkeypatch):
 def test_pump_sound_on_subset_solver():
     for h in (2, 3):
         m = tdfa.build_subset_solver(h)
-        seq = sequence.build_sequence(h)
-        for t in range(1, seq.N + 1):
+        for t in range(1, sequence.chain_length(h) + 1):
             res = pump(m, t)
             assert isinstance(res, NotFound), (h, t)
             assert res.reason
@@ -79,19 +78,28 @@ def test_pump_respects_size_cap(monkeypatch):
 def test_both_sides_generic_stays_in_property():
     m = tdfa.build_subset_solver(2)
     seq = sequence.build_sequence(2)
-    for t in range(seq.N):  # the zero matrix at t=N included via t-1 use in pump
+    for t in range(sequence.chain_length(2)):  # the zero matrix at t=N included via t-1 use in pump
         theta, lr_cert, rl_cert = both_sides_generic(m, seq[t])
         assert owl.connectivity(theta) == seq[t]
         assert lr_cert.side == exits.LR
         assert rl_cert.side == exits.RL
 
 
+def test_exit_chain_sizes_match_its_json():
+    rep = exit_chain(tdfa.build_broken_solver(3, 2))
+    blob = rep.to_json()
+    assert len(rep.certs) == sequence.chain_length(3) + 1
+    assert rep.a_sizes == blob["a_sizes"] == [e["a"] for e in blob["chain"]]
+    assert rep.b_sizes == blob["b_sizes"] == [e["b"] for e in blob["chain"]]
+    assert [e["t"] for e in blob["chain"]] == list(range(len(rep.certs)))
+    assert len(set(rep.a_sizes)) > 1  # the LR sizes do move on this machine
+
+
 def test_exit_chain_monotone():
     for h in (2, 3):
         m = tdfa.build_subset_solver(h)
         rep = exit_chain(m)
-        a_sizes = [e.a for e in rep.entries]
-        b_sizes = [e.b for e in rep.entries]
+        a_sizes, b_sizes = rep.a_sizes, rep.b_sizes
         assert all(x >= y for x, y in zip(a_sizes, a_sizes[1:]))
         assert all(x >= y for x, y in zip(b_sizes, b_sizes[1:]))
         assert rep.implied_bound <= len(m.states)

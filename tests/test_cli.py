@@ -54,6 +54,15 @@ def test_seq_index_out_of_range(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("kind", ["e", "eprime", "d", "dprime"])
+def test_seq_kind_needs_index(capsys, kind):
+    # Only the chain itself is written whole; an increment needs its step.
+    code, out, err = run_cli(capsys, "seq", "--height", "2", "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: --kind {kind} needs --index"]
+
+
 @pytest.mark.parametrize("index", ["7", "-1"])
 def test_seq_chain_index_out_of_range(capsys, index):
     code, out, err = run_cli(capsys, "seq", "--height", "3", "--index", index)
@@ -354,6 +363,7 @@ MALFORMED_FILES = {
         "pump --machine subset:2 --index 1 --max-ext-len -1",
         "verify-seq --height 1_0",
         "seq --height 2 --index +1",
+        "seq --height 2 --kind e",
         "fuzz --machine subset:2 --samples \u0663",
         "fuzz --machine subset:2 --seed +5",
         "--seed +5 fuzz --machine subset:2",

@@ -34,7 +34,7 @@ def test_traversal_map_accept_all():
     tm = traversal_map(m, y, LR)
     # Every state sweeps right and comes out in "go".
     assert tm.exit_states == frozenset({"go"})
-    assert tm.exit_size == 1
+    assert exit_size(m, y, LR) == 1
     assert all(c.outcome == tdfa.HIT_RIGHT for c in tm.outcomes.values())
 
 
@@ -45,7 +45,7 @@ def test_traversal_map_subset_solver_identity_string():
     # The identity symbol preserves each tracked subset; accept and reject
     # feed into s0, which is already among the subset states.
     assert tm.exit_states == frozenset({"s0", "s1", "s2", "s3"})
-    assert tm.exit_size == 4
+    assert exit_size(m, y, LR) == 4
 
 
 def test_traversal_map_rl_side():
@@ -53,7 +53,8 @@ def test_traversal_map_rl_side():
     y = OwlString(2, [identity_symbol(2)])
     tm = traversal_map(m, y, RL)
     # A one-way machine never exits left from its last symbol.
-    assert tm.exit_size == 0
+    assert tm.exit_states == frozenset()
+    assert exit_size(m, y, RL) == 0
 
 
 def test_traversal_map_bad_side():
@@ -245,7 +246,7 @@ def test_descend_generic_accept_all():
 def test_descend_generic_stays_in_property():
     m = tdfa.build_subset_solver(2)
     seq = sequence.build_sequence(2)
-    for t in range(seq.N + 1):
+    for t in range(sequence.chain_length(2) + 1):
         for side in (LR, RL):
             cert = descend_generic(m, seq[t], side=side)
             assert owl.connectivity(cert.y) == seq[t]
@@ -410,7 +411,7 @@ def test_exit_chain_builds_the_alphabet_once():
     info = exits._alphabet.cache_info()
     assert info.misses == 1 and info.currsize == 1
     # Both sides at every chain step fetch the one h = 4 alphabet.
-    assert info.hits + info.misses == 2 * len(report.entries)
+    assert info.hits + info.misses == 2 * len(report.certs)
 
 
 @pytest.mark.parametrize(

@@ -87,8 +87,8 @@ def test_get_out_of_range():
 
 def test_constants():
     assert identity(3).to_text() == "100\n010\n001\n"
-    assert zero(2).is_zero()
-    assert not identity(1).is_zero()
+    assert zero(2).rows == (0, 0)
+    assert identity(1) != zero(1)
     assert all_ones(2).to_text() == "11\n11\n"
 
 

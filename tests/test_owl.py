@@ -1,7 +1,10 @@
 """Unit tests for symbols, strings, liveness, and property constructions."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -196,7 +199,7 @@ def test_connectivity_hand_example():
     assert connectivity(z) == BoolMatrix.from_cells(2, [(1, 1)])
     # Repeating the symbol gives a dead string: nothing leaves node 2.
     w = OwlString(2, [OwlSymbol(2, [(1, 2)]), OwlSymbol(2, [(1, 2)])])
-    assert connectivity(w).is_zero()
+    assert connectivity(w) == matrix.zero(2)
     assert not is_live(w)
 
 
@@ -310,7 +313,7 @@ def test_suffix_of_choice_on_chain_pair():
 
     rng = random.Random(7)
     seq = sequence.build_sequence(3)
-    for t in range(1, seq.N + 1):
+    for t in range(1, sequence.chain_length(3) + 1):
         prev, nxt = seq[t - 1], seq[t]
         u = suffix_of_choice_witness(prev, nxt)
         ustr = OwlString(3, [u])
@@ -380,9 +383,9 @@ def test_folds_match_a_left_fold_of_multiply():
             z = OwlString(h, syms)
             want = fold_of_multiply(z)
             assert connectivity(z) == want
-            assert is_live(z) == (not want.is_zero()) == nfa_live(z)
+            assert is_live(z) == (want != matrix.zero(h)) == nfa_live(z)
             prefix = OwlString(h, syms[: n // 2])
-            dies_early += n > 1 and fold_of_multiply(prefix).is_zero()
+            dies_early += n > 1 and fold_of_multiply(prefix) == matrix.zero(h)
     assert dies_early > 0
     for h in (1, 4, 64):
         empty = OwlString(h, ())
@@ -435,7 +438,7 @@ def test_is_live_matches_connectivity_and_nfa_live(h):
     widest = dies_first = dies_last = 0
     for z in cases:
         c = connectivity(z)
-        assert is_live(z) == (not c.is_zero()) == nfa_live(z)
+        assert is_live(z) == (c != matrix.zero(h)) == nfa_live(z)
         widest = max(widest, len(set(c.rows) - {0}))
         if z.symbols:
             dies_first += z.symbols[0] == empty_symbol(h)
@@ -451,7 +454,7 @@ def test_is_live_matches_connectivity_and_nfa_live(h):
 def test_is_live_uses_neither_the_kernel_nor_the_other_oracle(monkeypatch, target):
     rng = random.Random(7)
     cases = [z for h in (1, 2, 3, 16, 64) for z in _liveness_cases(rng, h)]
-    want = [not connectivity(z).is_zero() for z in cases]
+    want = [connectivity(z) != matrix.zero(z.h) for z in cases]
 
     def refuse(*args, **kwargs):
         raise AssertionError(f"is_live called {target}")
@@ -459,3 +462,27 @@ def test_is_live_uses_neither_the_kernel_nor_the_other_oracle(monkeypatch, targe
     module, name = target.split(".")
     monkeypatch.setattr({"matrix": matrix, "owl": owl}[module], name, refuse)
     assert [is_live(z) for z in cases] == want
+
+
+def test_modules_import_only_what_they_use():
+    # The package root re-exports nothing, so a module loads its own imports
+    # and no more, in a fresh interpreter.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(owl.__file__)))
+    probe = (
+        "import json, sys; import owllab.{0}; "
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'owllab']))"
+    )
+
+    def loaded(module):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(module)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return set(json.loads(out))
+
+    base = loaded("owl")
+    assert base == {"owllab", "owllab.matrix", "owllab.owl"}
+    assert loaded("tdfa") == base | {"owllab.tdfa"}

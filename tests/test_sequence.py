@@ -96,7 +96,8 @@ def test_stage2_column():
 
 def test_chain_frozen_values_h5():
     seq = build_sequence(5)
-    assert seq.U == 10 and seq.N == 15
+    assert num_upper(5) == 10 and chain_length(5) == 15
+    assert len(seq.matrices) == 16
     for t, text in CHAIN_H5.items():
         assert seq[t].to_text() == text, f"C_{t} mismatch"
 
@@ -120,22 +121,23 @@ def test_e_prime_widens_to_the_right():
 def test_chain_endpoints():
     for h in (1, 2, 5, 8):
         seq = build_sequence(h)
-        assert len(seq) == seq.N + 1
+        n = chain_length(h)
+        assert len(seq.matrices) == n + 1
         assert seq[0] == matrix.identity(h)
-        assert seq[seq.N - 1] == matrix.all_ones(h)
-        assert seq[seq.N] == matrix.zero(h)
+        assert seq[n - 1] == matrix.all_ones(h)
+        assert seq[n] == matrix.zero(h)
 
 
 def test_chain_adds_one_cell_per_stage1_step():
     seq = build_sequence(4)
-    for t in range(1, seq.U + 1):
+    for t in range(1, num_upper(4) + 1):
         fresh = set(seq[t].cells()) - set(seq[t - 1].cells())
         assert fresh == {cell_index(t, 4)}
 
 
 def test_chain_stage2_fills_columns():
     seq = build_sequence(4)
-    for t in range(seq.U + 1, seq.N):
+    for t in range(num_upper(4) + 1, chain_length(4)):
         j = stage2_column(t, 4)
         fresh = set(seq[t].cells()) - set(seq[t - 1].cells())
         assert fresh == {(i, j) for i in range(j + 1, 5)}

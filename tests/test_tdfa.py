@@ -1,5 +1,6 @@
 """Unit tests for the two-way automaton simulator and machine builders."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -123,6 +124,16 @@ def test_validate_catches_unknown_special_states():
         return Tdfa(["s"], 1, "s", "missing", "s", lambda q, sym: ("s", "R"))
 
     assert refusal(build) == "accept state 'missing' not in state set"
+
+
+def test_machine_is_frozen_with_identity_equality():
+    m = build_subset_solver(2)
+    for f in dataclasses.fields(Tdfa):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, f.name, getattr(m, f.name))
+    twin = build_subset_solver(2)
+    assert m == m and m != twin
+    assert len({m, twin}) == 2
 
 
 def test_constructor_refuses_duplicate_states():
@@ -352,7 +363,7 @@ def test_broken_solver_validation():
 def test_broken_solver_past_h12_within_the_state_budget():
     # Node sets of at most 2 of 16 nodes: 1 + 16 + 120, plus accept and reject.
     m = build_broken_solver(16, 2)
-    assert len(m.states) == sequence.build_sequence(16).N + 3 == 139
+    assert len(m.states) == sequence.chain_length(16) + 3 == 139
     z = OwlString(16, [OwlSymbol(16, [(2, 2)])])
     assert decide(m, z) == ACCEPT
     assert len(build_broken_solver(64, 1).states) == 67
