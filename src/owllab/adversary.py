@@ -102,21 +102,6 @@ def _verify_counterexample(m: Tdfa, cex: Counterexample) -> None:
             raise AssertionError("fuzz input is decided correctly")
 
 
-def both_sides_generic(
-    m: Tdfa, target, max_ext_len: int = 1
-) -> tuple[OwlString, GenericCertificate, GenericCertificate]:
-    """Compose an LR-descended and an RL-descended member through the smooth
-    infix; the result extends both, so it inherits both certificates."""
-    lr_cert, rl_cert = _descend_both(m, target, max_ext_len)
-    infix = owl.smooth_infix_witness(target)
-    if infix is None:
-        raise ValueError("no constructive smoothness witness for the target")
-    theta = lr_cert.y + infix + rl_cert.y
-    if owl.connectivity(theta) != target:
-        raise AssertionError("composed generic candidate left the property")
-    return theta, lr_cert, rl_cert
-
-
 def _descend_both(m, target, max_ext_len, starts=(None, None)):
     """The LR and the RL certificate for target, each descended from its
     start (None: the representative)."""
@@ -143,7 +128,11 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     seq = sequence.build_sequence(h)
     c_prev, c_next = seq[t - 1], seq[t]
 
-    theta, _, _ = both_sides_generic(m, c_prev, max_ext_len)
+    # theta = y_LR.y_RL inherits both certificates; c_prev^2 = c_prev keeps it in.
+    lr, rl = _descend_both(m, c_prev, max_ext_len)
+    theta = lr.y + rl.y
+    if owl.connectivity(theta) != c_prev:
+        raise AssertionError("composed generic candidate left the property")
     x_sym = owl.suffix_of_choice_witness(c_prev, c_next)
     x = OwlString(h, [x_sym])
     block = x + theta  # the pumped unit x.theta
@@ -261,14 +250,14 @@ def exit_chain(m: Tdfa, max_ext_len: int = 1) -> ExitChainReport:
 
     Each step seeds its descent with the previous step's string extended by
     the forcing suffix, so the estimates inherit the monotonicity the exact
-    sizes have and cannot bounce upward from search noise.
+    sizes have and cannot bounce upward from search noise. A seed has
+    connectivity C_{t-1} C_t = C_t, or `descend_generic` refuses it.
     """
     chain = sequence.build_sequence(m.h).matrices
     certs = [_descend_both(m, chain[0], max_ext_len)]
     for prev, target in itertools.pairwise(chain):
         suffix = OwlString(m.h, [owl.suffix_of_choice_witness(prev, target)])
-        seeds = [exits.extend(c.y, suffix, c.side) for c in certs[-1]]
-        starts = [s if owl.connectivity(s) == target else None for s in seeds]
+        starts = [exits.extend(c.y, suffix, c.side) for c in certs[-1]]
         certs.append(_descend_both(m, target, max_ext_len, starts))
     return ExitChainReport(m.name, m.h, tuple(certs), max_ext_len)
 

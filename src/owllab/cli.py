@@ -195,9 +195,7 @@ def cmd_generic(args) -> tuple[int, dict]:
     m = load_machine(args.machine)
     target = _target_matrix(args, m)
     side = exits.LR if args.side == "lr" else exits.RL
-    cert = exits.descend_generic(
-        m, target, max_ext_len=args.max_ext_len, max_rounds=args.max_rounds, side=side
-    )
+    cert = exits.descend_generic(m, target, max_ext_len=args.max_ext_len, side=side)
     return EXIT_OK, cert.to_json()
 
 
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--matrix", help="text matrix file with the target connectivity")
     sp.add_argument("--side", choices=["lr", "rl"], default="lr")
     sp.add_argument("--max-ext-len", type=count, default=1)
-    sp.add_argument("--max-rounds", type=count, default=None)
     sp.set_defaults(func=cmd_generic)
 
     sp = add_parser("chain", help="exit-size chain along all properties")

@@ -153,11 +153,18 @@ class GenericCertificate:
     y: OwlString
     target: BoolMatrix
     side: str
-    exit_size: int
     size_history: tuple[int, ...]
     generator_count: int
     max_ext_len: int
-    rounds_searched: int
+
+    @property
+    def exit_size(self) -> int:
+        return self.size_history[-1]
+
+    @property
+    def rounds_searched(self) -> int:
+        """One scan per adoption, and a last one unless the set ran empty."""
+        return len(self.size_history) - (self.exit_size == 0)
 
     def to_json(self) -> dict:
         return {
@@ -300,7 +307,6 @@ def descend_generic(
     m: Tdfa,
     target: BoolMatrix,
     max_ext_len: int = 1,
-    max_rounds: Optional[int] = None,
     side: str = LR,
     start: Optional[OwlString] = None,
 ) -> GenericCertificate:
@@ -308,15 +314,13 @@ def descend_generic(
 
     Starting from the representative (or `start`), repeatedly adopt the
     first searched extension that stays in the property and strictly
-    shrinks the exit set; stop when a full scan finds no decrease or the
-    round budget runs out. LR extends on the right, RL on the left.
+    shrinks the exit set, at most |Q| times; stop when a full scan finds no
+    decrease or the set is empty. LR extends on the right, RL on the left.
     """
     h = target.h
     if h != m.h:
         raise ValueError(f"target height {h} does not match machine height {m.h}")
     alphabet = _alphabet(h)
-    if max_rounds is None:
-        max_rounds = len(m.states)
     y = start if start is not None else owl.representative(target)
     if owl.connectivity(y) != target:
         raise ValueError("start string is not in the target property")
@@ -325,13 +329,11 @@ def descend_generic(
     # only an adopted candidate becomes a string.
     exit_states = sorted(traversal_map(m, y, side).exit_states)  # checks y's height
     history = [len(exit_states)]
-    rounds = 0
     # y stays in the property, so an extension e keeps it there exactly when
     # target * C(e) == target (LR) or C(e) * target == target (RL).
     ident = matrix.identity(h)
     left, right = (target, ident) if side == LR else (ident, target)
-    while rounds < max_rounds and exit_states:
-        improved = False
+    while exit_states:
         base = y.symbols
         for ext in _extensions(alphabet, max_ext_len, left, right, target):
             if side == LR:
@@ -342,18 +344,14 @@ def descend_generic(
             if len(cand_exits) < len(exit_states):
                 y, exit_states = OwlString(h, tape), sorted(cand_exits)
                 history.append(len(exit_states))
-                improved = True
                 break
-        rounds += 1
-        if not improved:
+        else:
             break
     return GenericCertificate(
         y=y,
         target=target,
         side=side,
-        exit_size=len(exit_states),
         size_history=tuple(history),
         generator_count=len(alphabet.symbols),
         max_ext_len=max_ext_len,
-        rounds_searched=rounds,
     )

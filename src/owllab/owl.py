@@ -12,7 +12,7 @@ import functools
 import json
 import string
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import matrix
 from .matrix import BoolMatrix
@@ -277,22 +277,6 @@ def separation_context(
             v = OwlSymbol(h, [(j, 1)])
             return u, v, swapped
     raise ValueError("matrices are equal; no separating cell")
-
-
-def smooth_infix_witness(c: BoolMatrix) -> Optional[OwlString]:
-    """Infix that keeps any concatenation of two members inside the property.
-
-    For idempotent c the empty string works (c * I * c = c). For a matrix
-    with a single 1-cell (i, j) the one-symbol infix {(j, i)} works. For
-    anything else no constructive witness is attempted; returns None.
-    """
-    if matrix.is_idempotent(c):
-        return OwlString(c.h, ())
-    cells = c.cells()
-    if len(cells) == 1:
-        i, j = cells[0]
-        return OwlString(c.h, [OwlSymbol(c.h, [(j, i)])])
-    return None
 
 
 def suffix_of_choice_witness(c_prev: BoolMatrix, c_next: BoolMatrix) -> OwlSymbol:

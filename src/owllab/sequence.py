@@ -132,8 +132,6 @@ class SequenceReport:
     """Outcome of the identity and contract checks over a whole chain."""
 
     h: int
-    U: int
-    N: int
     checks_run: int = 0
     failures: list[str] = field(default_factory=list)
 
@@ -151,8 +149,8 @@ class SequenceReport:
     def to_json(self) -> dict:
         return {
             "h": self.h,
-            "U": self.U,
-            "N": self.N,
+            "U": num_upper(self.h),
+            "N": chain_length(self.h),
             "checks_run": self.checks_run,
             "failures": list(self.failures),
             "ok": self.ok,
@@ -171,7 +169,7 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
     """
     matrix._check_h(h)
     u, n = num_upper(h), chain_length(h)
-    rep = SequenceReport(h, u, n)
+    rep = SequenceReport(h)
     rng = random.Random(seed)
     zero_rows = (0,) * h
     # Oracle sampling is O(h^2) strings; thin out the t range for large h

@@ -12,7 +12,9 @@ import itertools
 import json
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, Union
 
 from .matrix import _check_h
@@ -52,9 +54,9 @@ class Tdfa:
     reject; every state moves right off the left endmarker and moves left on
     the right endmarker unless it steps right into accept or reject (the only
     way to halt); and delta gives a (declared state, "L"/"R") pair. A machine
-    file's rules become a `_Table` delta (see `from_json`). The machine is
-    frozen, so no later assignment can skip these checks; equality and
-    hashing are by identity.
+    file's rules become a read-only `_Table` delta (see `from_json`). The
+    machine is frozen, so no later assignment can skip these checks;
+    equality and hashing are by identity.
     """
 
     states: tuple[str, ...]
@@ -134,14 +136,26 @@ class Tdfa:
         return cls.from_json(obj, name=path)
 
 
-class _Table(dict):
-    """A machine file's rules as a transition function: state -> {LEND,
-    REND, "default" or a symbol: (state, direction)}. A symbol's own rule
-    wins over the state's default; `from_json` has checked that every
-    declared state has one."""
+@dataclass(frozen=True)
+class _Table(Mapping):
+    """A machine file's rules as a read-only transition function: state ->
+    {LEND, REND, "default" or a symbol: (state, direction)}, a state's rules
+    read as a `MappingProxyType`. A symbol's own rule wins over the state's
+    default; `from_json` has checked that every declared state has one."""
+
+    _rules: dict[str, dict]
+
+    def __getitem__(self, state: str) -> Mapping:
+        return MappingProxyType(self._rules[state])
+
+    def __iter__(self):
+        return iter(self._rules)
+
+    def __len__(self) -> int:
+        return len(self._rules)
 
     def __call__(self, state: str, sym: TapeSymbol) -> tuple[str, str]:
-        rules = self[state]
+        rules = self._rules[state]
         return rules.get(sym) or rules["default"]
 
 

@@ -8,7 +8,6 @@ from owllab import adversary, exits, owl, sequence, tdfa
 from owllab.adversary import (
     Counterexample,
     NotFound,
-    both_sides_generic,
     differential_fuzz,
     exit_chain,
     pump,
@@ -17,7 +16,8 @@ from owllab.adversary import (
 
 def test_pump_breaks_accept_all():
     for h in (2, 3):
-        res = pump(tdfa.build_accept_all(h), 1)
+        m = tdfa.build_accept_all(h)
+        res = pump(m, 1)
         assert isinstance(res, Counterexample)
         assert res.kind == "pump"
         assert res.t == 1
@@ -30,6 +30,11 @@ def test_pump_breaks_accept_all():
             for dec, live in zip(res.decisions, res.liveness)
         ]
         assert any(wrong)
+        # theta is y_LR.y_RL with no infix: C_0 is idempotent, so it stays in.
+        c_prev = sequence.build_sequence(h)[0]
+        lr, rl = (exits.descend_generic(m, c_prev, side=side) for side in (exits.LR, exits.RL))
+        assert res.theta == lr.y + rl.y
+        assert owl.connectivity(res.theta) == c_prev
 
 
 def test_pump_counterexample_json():
@@ -75,16 +80,6 @@ def test_pump_respects_size_cap(monkeypatch):
     assert "cap" in res.detail
 
 
-def test_both_sides_generic_stays_in_property():
-    m = tdfa.build_subset_solver(2)
-    seq = sequence.build_sequence(2)
-    for t in range(sequence.chain_length(2)):  # the zero matrix at t=N included via t-1 use in pump
-        theta, lr_cert, rl_cert = both_sides_generic(m, seq[t])
-        assert owl.connectivity(theta) == seq[t]
-        assert lr_cert.side == exits.LR
-        assert rl_cert.side == exits.RL
-
-
 def test_exit_chain_sizes_match_its_json():
     rep = exit_chain(tdfa.build_broken_solver(3, 2))
     blob = rep.to_json()
@@ -107,6 +102,15 @@ def test_exit_chain_monotone():
         blob = rep.to_json()
         assert blob["a_sizes"] == a_sizes
         assert blob["implied_bound"] == rep.implied_bound
+
+
+def test_exit_chain_refuses_a_seed_outside_the_property(monkeypatch):
+    # With the identity as forcing suffix, the seed y.u keeps C_{t-1} and
+    # misses C_t; the descent's start check must refuse it, not restart
+    # silently from the representative.
+    monkeypatch.setattr(owl, "suffix_of_choice_witness", lambda prev, nxt: owl.identity_symbol(nxt.h))
+    with pytest.raises(ValueError, match="not in the target property"):
+        exit_chain(tdfa.build_subset_solver(2))
 
 
 def test_differential_fuzz_finds_broken_solver():

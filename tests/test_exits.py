@@ -244,10 +244,15 @@ def test_descend_generic_accept_all():
 
 
 def test_descend_generic_stays_in_property():
-    m = tdfa.build_subset_solver(2)
-    seq = sequence.build_sequence(2)
-    for t in range(sequence.chain_length(2) + 1):
-        for side in (LR, RL):
+    # On every builtin machine with h <= 3: every adoption shrinks the exit
+    # set, so no descent searches more than |Q| rounds, and the certificate's
+    # sizes are read off its history.
+    specs = [f"{name}:{h}" for h in (1, 2, 3) for name in ("accept_all", "subset")]
+    specs += [f"broken:{h}:{cap}" for h in (1, 2, 3) for cap in range(1, h + 1)]
+    for spec in specs:
+        m = cli.load_machine(spec)
+        seq = sequence.build_sequence(m.h)
+        for t, side in itertools.product(range(sequence.chain_length(m.h) + 1), (LR, RL)):
             cert = descend_generic(m, seq[t], side=side)
             assert owl.connectivity(cert.y) == seq[t]
             assert cert.side == side
@@ -255,6 +260,8 @@ def test_descend_generic_stays_in_property():
             assert all(a > b for a, b in zip(hist, hist[1:]))
             assert cert.exit_size == hist[-1]
             assert cert.exit_size == exit_size(m, cert.y, side)
+            assert cert.rounds_searched <= len(m.states)
+            assert cert.to_json()["exit_size"] == hist[-1]
 
 
 def test_descend_generic_start_must_be_in_property():

@@ -25,7 +25,6 @@ from owllab.owl import (
     representative_symbol,
     sample_member,
     separation_context,
-    smooth_infix_witness,
     suffix_of_choice_witness,
     symbol_matrix,
 )
@@ -284,28 +283,6 @@ def test_separation_context_liveness_xor():
 def test_separation_context_equal_matrices_rejected():
     with pytest.raises(ValueError):
         separation_context(matrix.identity(2), matrix.identity(2))
-
-
-def test_smooth_infix_idempotent():
-    c = matrix.identity(3)
-    infix = smooth_infix_witness(c)
-    assert infix is not None and len(infix) == 0
-    x, z = representative(c), representative(c)
-    assert connectivity(x + infix + z) == c
-
-
-def test_smooth_infix_single_cell():
-    c = BoolMatrix.from_cells(3, [(1, 3)])
-    infix = smooth_infix_witness(c)
-    assert infix is not None and len(infix) == 1
-    assert infix.symbols[0].sorted_edges == ((3, 1),)
-    x, z = representative(c), representative(c)
-    assert connectivity(x + infix + z) == c
-
-
-def test_smooth_infix_none_for_hard_case():
-    swap = BoolMatrix.from_text("01\n10\n")
-    assert smooth_infix_witness(swap) is None
 
 
 def test_suffix_of_choice_on_chain_pair():

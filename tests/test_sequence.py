@@ -158,7 +158,9 @@ def test_verify_sequence_small_heights():
         rep = verify_sequence(h)
         assert rep.ok
         assert rep.checks_run > 0
-        assert rep.h == h and rep.N == chain_length(h)
+        blob = rep.to_json()
+        assert blob["h"] == h and blob["N"] == chain_length(h)
+        assert blob["U"] == num_upper(h)
 
 
 def test_verify_sequence_is_deterministic():
@@ -168,13 +170,15 @@ def test_verify_sequence_is_deterministic():
 
 
 def test_report_records_failures():
-    rep = SequenceReport(2, 1, 3)
+    rep = SequenceReport(2)
     rep._check(True, "fine")
     rep._check(False, "broken")
     assert not rep.ok
     assert rep.failures == ["broken"]
     assert rep.checks_run == 2
-    assert rep.to_json()["ok"] is False
+    blob = rep.to_json()
+    assert blob["ok"] is False
+    assert (blob["U"], blob["N"]) == (1, 3)
 
 
 def test_rank_one_checks_catch_a_wrong_outer(monkeypatch):

@@ -439,6 +439,20 @@ def test_table_to_json_writes_canonical_hex():
     assert Tdfa.from_json(blob).delta == m.delta
 
 
+def test_a_loaded_table_cannot_be_changed():
+    # The constructor's checks hold only if the rules they checked stay put.
+    m = Tdfa.load(SUBSET2_TABLE)
+    with pytest.raises(TypeError):
+        m.delta["s3"][LEND] = ("s3", "L")
+    with pytest.raises(TypeError):
+        m.delta["s3"] = {LEND: ("s3", "L"), "default": ("s3", "R")}
+    with pytest.raises(TypeError):
+        del m.delta["s3"][LEND]
+    z = OwlString(2, [OwlSymbol.from_mask(2, 4), OwlSymbol.from_mask(2, 1)])
+    assert m.delta("s3", LEND) == ("s3", "R")
+    assert decide(m, z) == ACCEPT
+
+
 def test_table_keys_are_parsed_when_built():
     def build(*keys):
         rules = {LEND: ("s", "R"), REND: (ACCEPT, "R"), "default": ("s", "R")}
