@@ -1,10 +1,10 @@
 """Command-line front door: `owl <subcommand>`.
 
-Reports are one line of JSON by default (deterministic: sorted keys, seed
-echoed; pipe through `python -m json.tool` to indent) or an indented
-key: value listing with --format pretty. Exit codes: 0 when
-everything is consistent or nothing was found, 1 when a counterexample or
-verification failure was produced, 2 on usage or validation errors.
+Reports are one line of JSON (deterministic: sorted keys, seed echoed; pipe
+through `python -m json.tool` to indent). `--seed` and `--no-timing` may come
+before or after the subcommand. Exit codes: 0 when everything is consistent
+or nothing was found, 1 when a counterexample or verification failure was
+produced, 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -72,41 +72,13 @@ def load_string(path: str) -> OwlString:
         raise CliError(f"cannot load input string {path!r}: {exc}")
 
 
-def _emit(report: dict, args) -> None:
-    if args.format == "pretty":
-        _pretty(report, sys.stdout)
-    else:
-        # One line through json.dumps: json.dump and any indent encode in pure Python.
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-
-
-def _pretty(obj, stream, indent=0) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                stream.write(f"{pad}{k}:\n")
-                _pretty(v, stream, indent + 1)
-            else:
-                stream.write(f"{pad}{k}: {v}\n")
-    elif isinstance(obj, list):
-        for v in obj:
-            if isinstance(v, (dict, list)):
-                _pretty(v, stream, indent + 1)
-            else:
-                stream.write(f"{pad}- {v}\n")
-    else:
-        stream.write(f"{pad}{obj}\n")
-
-
 def _report(args, command: str, result: dict, started: float) -> dict:
     rep = {
         "command": command,
         "config": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "format", "no_timing") and v is not None
+            if k not in ("func", "no_timing") and v is not None
         },
         "version": __version__,
         "result": result,
@@ -124,24 +96,20 @@ def _chain_matrix(seq: sequence.ConnectivitySequence, t: int, flag: str) -> Bool
 
 
 def cmd_seq(args) -> tuple[int, dict | str]:
-    seq = sequence.build_sequence(args.height)
-    if args.index is not None:
-        h, t = args.height, args.index
-        kinds = {
-            "c": lambda: _chain_matrix(seq, t, "--index"),
-            "e": lambda: sequence.e_matrix(t, h),
-            "eprime": lambda: sequence.e_prime(t, h),
-            "d": lambda: sequence.d_matrix(t, h),
-            "dprime": lambda: sequence.d_prime(t, h),
-        }
-        try:
-            mat = kinds[args.kind]()
-        except ValueError as exc:
-            raise CliError(str(exc))
-        return EXIT_OK, mat.to_text()
-    if args.kind != "c":
-        raise CliError(f"--kind {args.kind} needs --index")
-    return EXIT_OK, seq.to_json()
+    h, t = args.height, args.index
+    if t is None:
+        if args.kind != "c":
+            raise CliError(f"--kind {args.kind} needs --index")
+        return EXIT_OK, sequence.build_sequence(h).to_json()
+    # Only the chain itself is built; an increment is computed from (t, h).
+    kinds = {
+        "c": lambda: _chain_matrix(sequence.build_sequence(h), t, "--index"),
+        "e": lambda: sequence.e_matrix(t, h),
+        "eprime": lambda: sequence.e_prime(t, h),
+        "d": lambda: sequence.d_matrix(t, h),
+        "dprime": lambda: sequence.d_prime(t, h),
+    }
+    return EXIT_OK, kinds[args.kind]().to_text()
 
 
 def cmd_verify_seq(args) -> tuple[int, dict]:
@@ -240,7 +208,7 @@ def count(text: str) -> int:
 
 
 def _global_flags(defaults: bool) -> argparse.ArgumentParser:
-    """--format, --seed and --no-timing, for use as a parent parser.
+    """--seed and --no-timing, for use as a parent parser.
 
     The subcommands' copy (defaults=False) sets nothing unless given, so a
     flag may come before or after the subcommand.
@@ -249,7 +217,6 @@ def _global_flags(defaults: bool) -> argparse.ArgumentParser:
         return value if defaults else argparse.SUPPRESS
 
     g = argparse.ArgumentParser(add_help=False)
-    g.add_argument("--format", choices=["json", "pretty"], default=default("json"))
     g.add_argument("--seed", type=integer, default=default(0))
     g.add_argument(
         "--no-timing",
@@ -337,7 +304,9 @@ def main(argv=None) -> int:
     if isinstance(result, str):  # raw text matrix output
         sys.stdout.write(result)
     else:
-        _emit(_report(args, args.subcommand, result, started), args)
+        # One line through json.dumps: json.dump and any indent encode in pure Python.
+        report = _report(args, args.subcommand, result, started)
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return code
 
 

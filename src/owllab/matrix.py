@@ -96,10 +96,6 @@ class BoolMatrix:
             raise IndexError(f"cell ({i},{j}) out of range for h={self.h}")
         return (self.rows[i - 1] >> (j - 1)) & 1
 
-    def cells(self) -> list[tuple[int, int]]:
-        """All 1-cells in row-major order."""
-        return _cells(self.rows)
-
     def to_text(self) -> str:
         """h lines of h characters from {0,1}, newline-terminated."""
         lines = []

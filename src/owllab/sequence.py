@@ -44,6 +44,7 @@ def cell_index(t: int, h: int) -> tuple[int, int]:
 
 def e_matrix(t: int, h: int) -> BoolMatrix:
     """Single 1 at the t-th cell."""
+    matrix._check_h(h)
     return BoolMatrix.from_cells(h, [cell_index(t, h)])
 
 
@@ -72,6 +73,7 @@ def stage2_column(t: int, h: int) -> int:
 
 def d_matrix(t: int, h: int) -> BoolMatrix:
     """1s in the stage-2 column strictly below the diagonal."""
+    matrix._check_h(h)  # before listing up to h - 1 cells
     j = stage2_column(t, h)
     return BoolMatrix.from_cells(h, [(i, j) for i in range(j + 1, h + 1)])
 

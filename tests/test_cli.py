@@ -35,7 +35,12 @@ AUX_H5 = {"e": E_H5, "eprime": E_PRIME_H5, "d": D_H5, "dprime": D_PRIME_H5}
 
 
 @pytest.mark.parametrize("kind, index", [(k, t) for k, frozen in AUX_H5.items() for t in frozen])
-def test_seq_auxiliary_kinds(capsys, kind, index):
+def test_seq_auxiliary_kinds(capsys, monkeypatch, kind, index):
+    # An increment is computed from (t, h) alone; the chain is never built.
+    def no_chain(h):
+        raise AssertionError("build_sequence called")
+
+    monkeypatch.setattr(sequence, "build_sequence", no_chain)
     code, out, _ = run_cli(capsys, "seq", "--height", "5", "--index", str(index), "--kind", kind)
     assert code == 0
     assert out == AUX_H5[kind][index]
@@ -359,6 +364,7 @@ MALFORMED_FILES = {
         "--seed +5 fuzz --machine subset:2",
         "generic --machine subset:2 --conn 1_0",
         "pump --machine subset:2 --index \u0661",
+        "--format pretty verify-seq --height 2",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
@@ -369,8 +375,9 @@ def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
         code = cli.main(argv.format(dir=tmp_path).split())
     except SystemExit as exc:  # argparse rejects bad option values this way
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
     assert "Traceback" not in err
 
@@ -449,16 +456,6 @@ def test_timing_included_by_default(capsys):
     assert "timing_s" in json.loads(out)
 
 
-def test_pretty_format(capsys):
-    code, out, _ = run_cli(
-        capsys, "--format", "pretty", "verify-seq", "--height", "2"
-    )
-    assert code == 0
-    assert "ok: True" in out
-    with pytest.raises(json.JSONDecodeError):
-        json.loads(out)
-
-
 def test_config_echoed(capsys):
     _, out, _ = run_cli(capsys, "--seed", "3", "verify-seq", "--height", "2")
     blob = json.loads(out)
@@ -469,12 +466,13 @@ def test_config_echoed(capsys):
 
 def test_global_flags_after_the_subcommand(capsys):
     fuzz = ["fuzz", "--machine", "subset:2", "--samples", "5"]
-    flags = ["--no-timing", "--seed", "3", "--format", "pretty"]
+    flags = ["--no-timing", "--seed", "3"]
     code_before, out_before, _ = run_cli(capsys, *flags, *fuzz)
     code_after, out_after, _ = run_cli(capsys, *fuzz, *flags)
     assert code_before == code_after == 0
     assert out_before == out_after
-    assert "seed: 3" in out_before and "timing_s" not in out_before
+    blob = json.loads(out_before)
+    assert blob["config"]["seed"] == 3 and "timing_s" not in blob
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
@@ -482,9 +480,10 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     # the subcommand's copies of the global flags, must not leak into the next.
     cli.build_parser.cache_clear()
     generic = ["generic", "--machine", "subset:2", "--conn", "1"]
-    code, out, _ = run_cli(capsys, *generic, "--no-timing", "--seed", "3", "--format", "pretty")
+    code, out, _ = run_cli(capsys, *generic, "--no-timing", "--seed", "3")
     assert code == 0
-    assert "seed: 3" in out and "timing_s" not in out
+    blob = json.loads(out)
+    assert blob["config"]["seed"] == 3 and "timing_s" not in blob
     with pytest.raises(SystemExit) as exc:
         cli.main(generic + ["--side", "up"])
     assert exc.value.code == 2
@@ -534,13 +533,13 @@ def test_reports_are_the_bytes_json_writes(capsys, tmp_path, monkeypatch, timing
     choices = cli.build_parser()._subparsers._group_actions[0].choices
     assert sorted(argv[0] for argv in argvs) == sorted(choices)
     reports = []
-    emit = cli._emit
+    report = cli._report
 
-    def recording(report, args):
-        reports.append(report)
-        emit(report, args)
+    def recording(*args):
+        reports.append(report(*args))
+        return reports[-1]
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cli, "_report", recording)
     for argv in argvs:
         code, out, _ = run_cli(capsys, *timing, *argv)
         assert code in (0, 1), argv

@@ -126,7 +126,7 @@ def test_representative_symbol_round_trips_chain_matrices():
         s = representative_symbol(c)
         assert s.rows == c.rows and symbol_matrix(s) == c
         if t % 64 == 0:
-            assert OwlSymbol(64, c.cells()) == s
+            assert OwlSymbol(64, s.sorted_edges) == s
 
 
 def test_packed_form_refuses_bad_input():
@@ -240,7 +240,7 @@ def test_representative_in_property():
         z = representative(c)
         assert len(z) == 1
         assert connectivity(z) == c
-        assert representative_symbol(c).sorted_edges == tuple(c.cells())
+        assert BoolMatrix.from_cells(c.h, representative_symbol(c).sorted_edges) == c
 
 
 def test_sample_member_stays_in_property():

@@ -113,9 +113,14 @@ def test_increment_frozen_values_h5():
         assert d_prime(t, 5).to_text() == text
 
 
+def _cells(m):
+    """The 1-cells of m, by row and then by column."""
+    return owl.representative_symbol(m).sorted_edges
+
+
 def test_e_prime_widens_to_the_right():
-    assert e_prime(6, 5).cells() == [(2, 4), (2, 5)]
-    assert e_matrix(6, 5).cells() == [(2, 4)]
+    assert _cells(e_prime(6, 5)) == ((2, 4), (2, 5))
+    assert _cells(e_matrix(6, 5)) == ((2, 4),)
 
 
 def test_chain_endpoints():
@@ -131,7 +136,7 @@ def test_chain_endpoints():
 def test_chain_adds_one_cell_per_stage1_step():
     seq = build_sequence(4)
     for t in range(1, num_upper(4) + 1):
-        fresh = set(seq[t].cells()) - set(seq[t - 1].cells())
+        fresh = set(_cells(seq[t])) - set(_cells(seq[t - 1]))
         assert fresh == {cell_index(t, 4)}
 
 
@@ -139,7 +144,7 @@ def test_chain_stage2_fills_columns():
     seq = build_sequence(4)
     for t in range(num_upper(4) + 1, chain_length(4)):
         j = stage2_column(t, 4)
-        fresh = set(seq[t].cells()) - set(seq[t - 1].cells())
+        fresh = set(_cells(seq[t])) - set(_cells(seq[t - 1]))
         assert fresh == {(i, j) for i in range(j + 1, 5)}
 
 
