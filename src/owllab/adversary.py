@@ -125,8 +125,7 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     n = sequence.chain_length(h)
     if not 1 <= t <= n:
         raise ValueError(f"t={t} outside [1, {n}] for h={h}")
-    seq = sequence.build_sequence(h)
-    c_prev, c_next = seq[t - 1], seq[t]
+    c_prev, c_next = itertools.islice(sequence._chain(h), t - 1, t + 1)
 
     # theta = y_LR.y_RL inherits both certificates; c_prev^2 = c_prev keeps it in.
     lr, rl = _descend_both(m, c_prev, max_ext_len)

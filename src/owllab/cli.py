@@ -16,8 +16,9 @@ import os
 import re
 import sys
 import time
+from itertools import islice
 
-from . import __version__, adversary, exits, owl, sequence, tdfa
+from . import __version__, adversary, exits, matrix, owl, sequence, tdfa
 from .matrix import BoolMatrix
 from .owl import OwlString
 from .tdfa import Tdfa
@@ -88,11 +89,13 @@ def _report(args, command: str, result: dict, started: float) -> dict:
     return rep
 
 
-def _chain_matrix(seq: sequence.ConnectivitySequence, t: int, flag: str) -> BoolMatrix:
-    n = sequence.chain_length(seq.h)
+def _chain_matrix(h: int, t: int, flag: str) -> BoolMatrix:
+    """C_t alone: the chain is built, and cross-checked, up to step t."""
+    matrix._check_h(h)
+    n = sequence.chain_length(h)
     if not 0 <= t <= n:
-        raise CliError(f"{flag} must be in [0, {n}] for h={seq.h}")
-    return seq[t]
+        raise CliError(f"{flag} must be in [0, {n}] for h={h}")
+    return next(islice(sequence._chain(h), t, None))
 
 
 def cmd_seq(args) -> tuple[int, dict | str]:
@@ -103,7 +106,7 @@ def cmd_seq(args) -> tuple[int, dict | str]:
         return EXIT_OK, sequence.build_sequence(h).to_json()
     # Only the chain itself is built; an increment is computed from (t, h).
     kinds = {
-        "c": lambda: _chain_matrix(sequence.build_sequence(h), t, "--index"),
+        "c": lambda: _chain_matrix(h, t, "--index"),
         "e": lambda: sequence.e_matrix(t, h),
         "eprime": lambda: sequence.e_prime(t, h),
         "d": lambda: sequence.d_matrix(t, h),
@@ -151,7 +154,7 @@ def _target_matrix(args, m: Tdfa) -> BoolMatrix:
     if (args.conn is None) == (args.matrix is None):
         raise CliError("supply exactly one of --conn, --matrix")
     if args.conn is not None:
-        return _chain_matrix(sequence.build_sequence(m.h), args.conn, "--conn")
+        return _chain_matrix(m.h, args.conn, "--conn")
     try:
         with open(args.matrix) as f:
             return BoolMatrix.from_text(f.read())

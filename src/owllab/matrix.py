@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 MAX_H = 64
 
@@ -17,22 +18,34 @@ MAX_H = 64
 # meet many distinct left rows and would otherwise grow without bound.
 _MEMO_CAP = 4096
 
+# Bit i-1 <=> cell i, as summands: `compress` picks the cells a vector has.
+_BITS = tuple(1 << i for i in range(MAX_H))
+# "0"/"1" characters as the bytes 0/1, for reading a vector's cells in order.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class _RowMemo(dict):
-    """Product rows against one right operand, keyed by the left row.
+    """Product rows against one right operand, keyed by the left row masked
+    to the operand's support (the bitmask of its nonzero rows).
 
     A left row's product is the OR of the right operand's rows that its bits
-    pick out, so a miss is the row minus its lowest bit (looked up, and filled
-    in the same way if missing too) ORed with one row. Chain matrices' rows
-    share their tails, so a miss mostly costs one or two ORs, not one per set
-    bit, and `_product_rows` maps the lookup over the left rows in C. The
-    zero row is stored up front, so a miss always has a lowest bit.
+    pick out, so it depends only on the row's bits at the support: masking
+    changes no product, and against an operand with one nonzero row, like
+    E'_t, every left row is one of two keys. `support` is computed on the
+    operand's first product; it is -1, which masks nothing and so is not
+    applied, when no row is zero, as for every chain matrix. A miss is the
+    key minus its lowest bit (looked up, and filled in the same way if
+    missing too) ORed with one row. Chain matrices' rows share their tails,
+    so a miss mostly costs one or two ORs, not one per set bit, and
+    `_product_rows` maps the lookup over the left rows in C. The zero row is
+    stored up front, so a miss always has a lowest bit.
     """
 
-    __slots__ = ("brows",)
+    __slots__ = ("brows", "support")
 
     def __init__(self, brows: tuple[int, ...]) -> None:
         self.brows = brows
+        self.support = None
         self[0] = 0
 
     def __missing__(self, row: int) -> int:
@@ -166,6 +179,11 @@ def _product_rows(rows: tuple[int, ...], b: BoolMatrix) -> tuple[int, ...]:
     if len(memo) > _MEMO_CAP:
         memo.clear()
         memo[0] = 0
+    support = memo.support
+    if support is None:
+        support = memo.support = sum(compress(_BITS, b.rows)) if 0 in b.rows else -1
+    if support != -1:
+        rows = map(operator.and_, rows, repeat(support))
     return tuple(map(memo.__getitem__, rows))
 
 
@@ -195,31 +213,24 @@ def outer(col: int, row: int, h: int) -> BoolMatrix:
     """Rank-one product of a column and a row, both bit-packed like a row."""
     _check_vector(col, h)
     _check_vector(row, h)
-    return _trusted(h, tuple(row if col >> i & 1 else 0 for i in range(h)))
+    # Cell i of col, first to last, as 0 or 1 times the row.
+    picks = f"{col:0{h}b}"[::-1].encode().translate(_DIGITS)
+    return _trusted(h, tuple(map(operator.mul, repeat(row), picks)))
 
 
 def mat_vec(a: BoolMatrix, col: int) -> int:
     """Matrix times bit-packed column: bit i-1 is set iff row i meets col."""
     _check_vector(col, a.h)
-    bits = 0
-    for i, row in enumerate(a.rows):
-        if row & col:
-            bits |= 1 << i
-    return bits
+    return sum(compress(_BITS, map(operator.and_, a.rows, repeat(col))))
 
 
 def vec_mat(row: int, a: BoolMatrix) -> int:
-    """Bit-packed row times matrix: the OR of the rows its bits pick out."""
+    """Bit-packed row times matrix: the product kernel on one row."""
     _check_vector(row, a.h)
-    bits = 0
-    while row:
-        low = row & -row
-        bits |= a.rows[low.bit_length() - 1]
-        row ^= low
-    return bits
+    return _product_rows((row,), a)[0]
 
 
 def leq(a: BoolMatrix, b: BoolMatrix) -> bool:
-    """Cell-wise order: every 1 of a is a 1 of b."""
+    """Cell-wise order: every 1 of a is a 1 of b, so a OR b is b."""
     _require_same_h(a, b)
-    return all(x & ~y == 0 for x, y in zip(a.rows, b.rows))
+    return tuple(map(operator.or_, a.rows, b.rows)) == b.rows

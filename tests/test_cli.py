@@ -8,6 +8,7 @@ import random
 import pytest
 
 from owllab import cli, owl, sequence, tdfa
+from owllab.matrix import BoolMatrix
 from owllab.owl import OwlString, full_symbol, identity_symbol
 
 from frozen import CHAIN_H5, D_H5, D_PRIME_H5, E_H5, E_PRIME_H5
@@ -75,6 +76,71 @@ def test_seq_chain_index_out_of_range(capsys, index):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: --index must be in [0, 6] for h=3"]
+
+
+def test_one_chain_matrix_is_step_t_of_the_chain():
+    for h in range(1, 7):
+        seq = sequence.build_sequence(h)
+        for t in range(sequence.chain_length(h) + 1):
+            assert cli._chain_matrix(h, t, "--index") == seq[t], (h, t)
+    seq = sequence.build_sequence(64)
+    for t in (0, 1, sequence.chain_length(64)):
+        assert cli._chain_matrix(64, t, "--index") == seq[t], t
+
+
+def test_one_chain_matrix_cross_checks_every_step_up_to_it(monkeypatch):
+    # A widened increment that misses its cell at step 7 stops every read of
+    # C_7 or later, and no read before it.
+    c6 = sequence.build_sequence(6)[6]
+    e_prime = sequence.e_prime
+
+    def dropped(t, h):
+        ep = e_prime(t, h)
+        return ep if t != 7 else BoolMatrix(h, tuple(row & (row - 1) for row in ep.rows))
+
+    monkeypatch.setattr(sequence, "e_prime", dropped)
+    assert cli._chain_matrix(6, 6, "--index") == c6
+    for t in (7, 21):
+        with pytest.raises(AssertionError, match="disagree at t=7, h=6"):
+            cli._chain_matrix(6, t, "--index")
+
+
+def test_seq_generic_and_pump_never_build_the_whole_chain(capsys, monkeypatch, tmp_path):
+    targets = sequence.build_sequence(3)
+    pump_argv, pump_rc, pump_sha = next(p for p in PINNED_REPORTS if p[0].startswith("pump"))
+
+    def no_chain(h):
+        raise AssertionError("build_sequence called")
+
+    monkeypatch.setattr(sequence, "build_sequence", no_chain)
+    for t, text in CHAIN_H5.items():
+        assert run_cli(capsys, "seq", "--height", "5", "--index", str(t)) == (0, text, "")
+    path = tmp_path / "target.txt"
+    generic = ["generic", "--machine", "broken:3:2"]
+    for t in (0, 3, 6):
+        path.write_text(targets[t].to_text())
+        code, by_conn, _ = run_cli(capsys, *generic, "--conn", str(t))
+        assert code == 0
+        _, by_file, _ = run_cli(capsys, *generic, "--matrix", str(path))
+        assert json.loads(by_conn)["result"] == json.loads(by_file)["result"], t
+    code, out, _ = run_cli(capsys, "--no-timing", *pump_argv.split())
+    assert code == pump_rc
+    assert hashlib.sha256(out.encode()).hexdigest() == pump_sha
+    for index in ("-1", "7"):
+        code, out, err = run_cli(capsys, "pump", "--machine", "subset:3", "--index", index)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+
+
+def test_seq_last_chain_indices_at_full_height(capsys):
+    # Stage 2 ends all-ones at N - 1 = 2079; stage 3 drops to zero at N.
+    for t, cell in (("2079", "1"), ("2080", "0")):
+        code, out, _ = run_cli(capsys, "seq", "--height", "64", "--index", t)
+        assert code == 0
+        assert out.splitlines() == [cell * 64] * 64
+    code, out, err = run_cli(capsys, "seq", "--height", "64", "--index", "2081")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: --index must be in [0, 2080] for h=64"]
 
 
 def test_verify_seq(capsys):

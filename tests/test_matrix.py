@@ -349,3 +349,107 @@ def test_product_rows_past_the_memo_cap():
             assert dict.get(memo, 0, None) == 0  # stored again after the clear
     assert clears >= 1
     assert len(memo) <= matrix._MEMO_CAP + h * h
+
+
+def naive_mat_vec(a, col):
+    cells = range(1, a.h + 1)
+    return sum(1 << (i - 1) for i in cells if any(a.get(i, k) and col >> (k - 1) & 1 for k in cells))
+
+
+def naive_vec_mat(row, a):
+    cells = range(1, a.h + 1)
+    return sum(1 << (j - 1) for j in cells if any(row >> (k - 1) & 1 and a.get(k, j) for k in cells))
+
+
+def naive_outer(col, row, h):
+    cells = range(1, h + 1)
+    return BoolMatrix.from_cells(
+        h, [(i, j) for i in cells for j in cells if col >> (i - 1) & 1 and row >> (j - 1) & 1]
+    )
+
+
+def naive_leq(a, b):
+    return all(b.get(i, j) for i in range(1, a.h + 1) for j in range(1, a.h + 1) if a.get(i, j))
+
+
+def test_vector_helpers_match_naive_references():
+    # Cell by cell, without the product kernel that vec_mat runs on.
+    rng = random.Random(17)
+    for h in (1, 2, 7, 64):
+        full = (1 << h) - 1
+        vectors = [0, full, 1, 1 << (h - 1)] + [rng.getrandbits(h) for _ in range(4)]
+        for _ in range(4):
+            a = random_matrix(rng, h)
+            a_zero_rows = BoolMatrix(h, tuple(r if rng.random() < 0.5 else 0 for r in a.rows))
+            for m in (a, a_zero_rows, zero(h), all_ones(h), identity(h)):
+                for v in vectors:
+                    assert mat_vec(m, v) == naive_mat_vec(m, v), h
+                    assert vec_mat(v, m) == naive_vec_mat(v, m), h
+                for b in (a, a_zero_rows, add(m, a), zero(h), all_ones(h)):
+                    assert leq(m, b) == naive_leq(m, b), h
+        for col in vectors:
+            for row in vectors:
+                assert outer(col, row, h) == naive_outer(col, row, h), h
+
+
+def single_row_matrix(h, i, row):
+    """Zero but for row i, as E'_t is."""
+    return BoolMatrix(h, tuple(row if k == i else 0 for k in range(1, h + 1)))
+
+
+def test_masked_kernel_matches_the_naive_product_on_every_support():
+    rng = random.Random(18)
+    for h in (1, 2, 7, 16, 64):
+        full = (1 << h) - 1
+        i = rng.randint(1, h)
+        rng_rows = random_matrix(rng, h).rows
+        operands = [
+            zero(h),
+            single_row_matrix(h, i, rng.getrandbits(h) | 1),
+            single_row_matrix(h, i, full),
+            BoolMatrix(h, tuple(rng.getrandbits(h) | 1 << rng.randrange(h) for _ in range(h))),
+            BoolMatrix(h, tuple(r if rng.random() < 0.6 else 0 for r in rng_rows)),
+        ]
+        lefts = [(0,) * h, (full,) * h] + [random_matrix(rng, h).rows for _ in range(10)]
+        for b in operands:
+            for rows in lefts:
+                assert matrix._product_rows(rows, b) == naive_product_rows(rows, b), h
+                assert vec_mat(rows[0], b) == naive_product_rows(rows[:1], b)[0], h
+
+
+def test_single_row_operand_memo_holds_at_most_two_keys():
+    # A left row's product against E'_t reads only its bit at E'_t's nonzero
+    # row, so every product against it is one of two memo keys.
+    rng = random.Random(19)
+    for h in (2, 7, 64):
+        for i in (1, h):
+            b = single_row_matrix(h, i, rng.getrandbits(h) | 1)
+            for a in [random_matrix(rng, h) for _ in range(20)] + [all_ones(h), identity(h)]:
+                assert multiply(a, b).rows == naive_product_rows(a.rows, b)
+                assert vec_mat(a.rows[0], b) == naive_product_rows(a.rows[:1], b)[0]
+                assert len(b._prod_rows) <= 2, (h, i, dict(b._prod_rows))
+        z = zero(h)
+        multiply(random_matrix(rng, h), z)
+        assert dict(z._prod_rows) == {0: 0}
+
+
+def test_sparse_operand_past_the_memo_cap():
+    # A right operand with zero rows whose support still has more masked left
+    # rows than the memo keeps: the memo is cleared between products, and
+    # every key it holds lies inside the support.
+    rng = random.Random(20)
+    h = 16
+    zero_at = set(rng.sample(range(h), 3))
+    b = BoolMatrix(h, tuple(0 if k in zero_at else rng.getrandbits(h) | 1 for k in range(h)))
+    support = sum(1 << k for k in range(h) if k not in zero_at)
+    memo = b._prod_rows
+    clears = 0
+    for _ in range(400):
+        rows = tuple(rng.getrandbits(h) for _ in range(h))
+        before = len(memo)
+        assert matrix._product_rows(rows, b) == naive_product_rows(rows, b)
+        if len(memo) < before:
+            clears += 1
+        assert all(key & ~support == 0 for key in memo)
+    assert clears >= 1
+    assert len(memo) <= matrix._MEMO_CAP + h * h
