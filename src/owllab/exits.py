@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import matrix, owl, sequence, tdfa
 from .matrix import BoolMatrix
@@ -72,26 +72,54 @@ class PartialMap:
 
 
 def _continue(
-    m: Tdfa, dom: list[str], entry: int, tape: tuple[OwlSymbol, ...], side: str
-) -> dict[str, str]:
-    """Runs each state q of `dom` on the bare `tape` from the 1-based position
-    `entry`, the symbol of the extension next to y, and maps q to the state in
-    which the run leaves the tape on its far end; runs that leave otherwise or
-    loop are dropped. The heights are the caller's to check.
+    m: Tdfa,
+    dom: list[str],
+    y: tuple[OwlSymbol, ...],
+    words: Iterable[tuple[OwlSymbol, ...]],
+    side: str,
+    below: int,
+) -> Optional[tuple[tuple[OwlSymbol, ...], dict[str, str]]]:
+    """Sizes the candidates extend(y, e, side) for the symbol tuples e of
+    `words` in turn, as bare tapes: runs each state q of `dom` from the
+    symbol of e next to y and maps q to the state in which the run leaves
+    the tape on its far end; runs that leave otherwise or loop (the
+    pigeonhole budget |Q| * len(tape) + 1 of `tdfa._simulate` is spent) are
+    dropped. Returns the first candidate whose map has fewer than `below`
+    distinct values, with that map, or None when none has. The heights are
+    the caller's to check.
 
-    When `dom` is y's exit set and `tape` is y extended on its far end, a run
-    from the near end is the run on y until it first leaves y, so the image
-    is exactly the exit set of the tape (Shepherdson's crossing argument);
-    the run may cross back into y on the way.
+    When `dom` is y's exit set, a run from the near end of e is the run on
+    y + e (or e + y) until it first leaves y, so the image is exactly the
+    exit set of the candidate (Shepherdson's crossing argument); the run may
+    cross back into y on the way. Every run is stepped here, in one loop
+    over `m.delta`: most take one step, and a call per run (to
+    `tdfa._simulate`, the tests' reference) would cost more than the step.
     """
-    far = _FAR_END[side]
-    n = len(tape)
-    mapping = {}
-    for q in dom:
-        c = tdfa._simulate(m, tape, q, entry, 1, n)
-        if c.outcome == far:
-            mapping[q] = c.state
-    return mapping
+    far_right = side == LR
+    step = m.delta
+    per_cell = len(m.states)
+    for e in words:
+        if far_right:
+            tape, entry = y + e, len(y) + 1
+        else:
+            tape, entry = e + y, len(e)
+        n = len(tape)
+        budget = per_cell * n + 1
+        mapping = {}
+        for q in dom:
+            state, pos, steps = q, entry, 0
+            while 0 < pos <= n:
+                if steps == budget:
+                    break
+                state, d = step(state, tape[pos - 1])
+                pos += 1 if d == "R" else -1
+                steps += 1
+            else:
+                if (pos > n) == far_right:
+                    mapping[q] = state
+        if len(set(mapping.values())) < below:
+            return tape, mapping
+    return None
 
 
 def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str) -> PartialMap:
@@ -99,8 +127,8 @@ def _continuation(m: Tdfa, y: OwlString, z: OwlString, side: str) -> PartialMap:
     its image must be the exit set of extend(y, z, side)."""
     dom = traversal_map(m, y, side).exit_states  # checks y's height
     ext = extend(y, z, side)  # and OwlString.__add__ checks z's
-    entry = len(y) + 1 if side == LR else len(z)
-    pm = PartialMap(dom, _continue(m, sorted(dom), entry, ext.symbols, side))
+    _, mapping = _continue(m, sorted(dom), y.symbols, (z.symbols,), side, len(dom) + 1)
+    pm = PartialMap(dom, mapping)
     if pm.image != traversal_map(m, ext, side).exit_states:
         raise AssertionError(f"{side} continuation image does not match the extended exit set")
     return pm
@@ -244,7 +272,8 @@ def _extensions(
     h = target.h
     gens = alphabet.symbols
     full = (1 << h) - 1
-    image = {r: matrix.vec_mat(r, right) for pairs in alphabet.rows for r, _ in pairs}
+    values = tuple(dict.fromkeys(r for pairs in alphabet.rows for r, _ in pairs))
+    image = dict(zip(values, matrix._product_rows(values, right)))
     # rows_of[k]: (row k of B, generators giving it); covers[k][c-1]: the
     # generators whose row k of B has column c.
     rows_of = [[(image[r], bits) for r, bits in pairs] for pairs in alphabet.rows]
@@ -316,10 +345,15 @@ def descend_generic(
     first searched extension that stays in the property and strictly
     shrinks the exit set, at most |Q| times; stop when a full scan finds no
     decrease or the set is empty. LR extends on the right, RL on the left.
+    A negative `max_ext_len` and a start of another height are refused.
     """
     h = target.h
     if h != m.h:
         raise ValueError(f"target height {h} does not match machine height {m.h}")
+    if max_ext_len < 0:
+        raise ValueError(f"max_ext_len must be >= 0, got {max_ext_len}")
+    if start is not None and start.h != h:
+        raise ValueError(f"start string height {start.h} does not match target height {h}")
     alphabet = _alphabet(h)
     y = start if start is not None else owl.representative(target)
     if owl.connectivity(y) != target:
@@ -334,19 +368,13 @@ def descend_generic(
     ident = matrix.identity(h)
     left, right = (target, ident) if side == LR else (ident, target)
     while exit_states:
-        base = y.symbols
-        for ext in _extensions(alphabet, max_ext_len, left, right, target):
-            if side == LR:
-                tape, entry = base + ext, len(base) + 1
-            else:
-                tape, entry = ext + base, len(ext)
-            cand_exits = set(_continue(m, exit_states, entry, tape, side).values())
-            if len(cand_exits) < len(exit_states):
-                y, exit_states = OwlString(h, tape), sorted(cand_exits)
-                history.append(len(exit_states))
-                break
-        else:
+        words = _extensions(alphabet, max_ext_len, left, right, target)
+        found = _continue(m, exit_states, y.symbols, words, side, len(exit_states))
+        if found is None:
             break
+        tape, mapping = found
+        y, exit_states = OwlString(h, tape), sorted(set(mapping.values()))
+        history.append(len(exit_states))
     return GenericCertificate(
         y=y,
         target=target,

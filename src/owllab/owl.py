@@ -148,11 +148,18 @@ def full_symbol(h: int) -> OwlSymbol:
 @functools.lru_cache(maxsize=8)
 def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     """Every symbol of height h, in canonical order. Only sane for h <= 3."""
+    matrix._check_h(h)
     if h > 3:
         raise ValueError(f"refusing to enumerate 2^{h * h} symbols")
-    syms = [OwlSymbol.from_mask(h, m) for m in range(1 << (h * h))]
-    syms.sort(key=lambda s: s.sorted_edges)
-    return tuple(syms)
+    # The set-bit positions of a mask, ascending, are its sorted edges, so
+    # their bytes sort masks in canonical order. For 2^p <= m < 2^(p+1),
+    # keys[m] is keys[m - 2^p] followed by p.
+    n, full = h * h, (1 << h) - 1
+    keys = [b""]
+    for p in range(n):
+        keys += [k + bytes((p,)) for k in keys]
+    masks = sorted(range(1 << n), key=keys.__getitem__)
+    return tuple(_trusted(h, tuple(m >> (i * h) & full for i in range(h))) for m in masks)
 
 
 # A connectivity fold's working set: the identity padding and the few

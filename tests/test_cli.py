@@ -489,7 +489,11 @@ def test_machine_spec_over_the_state_budget_is_a_usage_error(capsys):
 # every builtin machine is one-way, so an RL pin would test an empty exit set)
 # and the h > 3 generator list (broken:4:2); the pump pin covers a verified
 # counterexample, whose liveness fields is_live fills; the h = 64 pin covers
-# the chain identity suite (25538 checks) on the product kernel.
+# the chain identity suite (25538 checks) on the product kernel. The
+# two-way table machine moves left on some symbols and loops on some bare
+# tapes, so its chain pins non-empty RL exit sets and descents that adopt a
+# candidate because a continued run loops. Machine paths are relative to
+# the repository root, and a report echoes them.
 PINNED_REPORTS = [
     ("chain --machine subset:3 --max-ext-len 2", 0,
      "80de091f080a35a35bf887f594289f972c629a913908a2e78c1269a761545be1"),
@@ -501,11 +505,14 @@ PINNED_REPORTS = [
      "40889c18d655ea4dd6527a643331a76cd54470467414842d55497dc88e16c2bb"),
     ("chain --machine broken:4:2", 0,
      "d12d8c10e69746235fe7ee770b2eb116ea14c7b8158be98072399d05770c473b"),
+    ("chain --machine tests/twoway2_table.json --max-ext-len 2", 0,
+     "9366f07739393ab25b14450574e944b4a4e56bfe155d8f88af3f789a734c1b97"),
 ]
 
 
 @pytest.mark.parametrize("argv, rc, sha256", PINNED_REPORTS)
-def test_pinned_reports(capsys, argv, rc, sha256):
+def test_pinned_reports(capsys, monkeypatch, argv, rc, sha256):
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     code, out, _ = run_cli(capsys, "--no-timing", *argv.split())
     assert code == rc
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -1,6 +1,7 @@
 """Unit tests for exit sets, the alpha/beta maps, and the genericity descent."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -21,6 +22,11 @@ from owllab.exits import (
 )
 from owllab.matrix import BoolMatrix
 from owllab.owl import OwlString, OwlSymbol, identity_symbol
+
+from test_tdfa import pingpong_machine
+
+SUBSET2_TABLE = "subset2_table.json"
+TWOWAY2_TABLE = "twoway2_table.json"
 
 
 def random_string(rng, h, max_len):
@@ -126,6 +132,19 @@ def two_way_machine():
     return tdfa.Tdfa(states, 2, "b", "accept", "reject", delta, name="two_way")
 
 
+BUILT = {"two_way": two_way_machine, "pingpong": pingpong_machine}
+
+
+def load(spec):
+    """A builtin machine, a machine file in this directory, or one of the
+    machines built above."""
+    if spec in BUILT:
+        return BUILT[spec]()
+    if spec.endswith(".json"):
+        spec = os.path.join(os.path.dirname(__file__), spec)
+    return cli.load_machine(spec)
+
+
 def walk(m, tape, q, pos):
     """Follow m.delta from state q at 1-based position pos until the head
     leaves the bare tape: (outcome, state), or None on a repeated
@@ -168,25 +187,85 @@ def test_alpha_beta_refuse_a_z_of_another_height():
         beta(m, z, y)
 
 
-@pytest.mark.parametrize("side", [LR, RL])
-def test_continuation_matches_brute_force_on_a_two_way_machine(side):
-    m = two_way_machine()
+@pytest.mark.parametrize(
+    "side, spec",
+    [
+        pytest.param(side, spec, id=side if spec == "two_way" else f"{side}-{spec}")
+        for spec in ("two_way", "pingpong")
+        for side in (LR, RL)
+    ],
+)
+def test_continuation_matches_brute_force_on_a_two_way_machine(side, spec):
+    # two_way leaves every non-empty string; pingpong loops on every
+    # non-empty bare tape, so its continued runs take the loop path.
+    m = load(spec)
     rng = random.Random(3)
     off_by_one = {-1: 0, 1: 0}
+    loops = 0
     for _ in range(100):
         y, z = random_string(rng, 2, 3), random_string(rng, 2, 3)
         pm = alpha(m, y, z) if side == LR else beta(m, z, y)
         want = brute_continuation(m, y, z, side)
         assert pm.domain == brute_exits(m, y, side)
-        assert len(y) == 0 or pm.domain
+        assert len(y) == 0 or pm.domain or spec == "pingpong"
         assert pm.mapping == want
         ext = y + z if side == LR else z + y
         assert pm.image == brute_exits(m, ext, side) == traversal_map(m, ext, side).exit_states
         for shift in off_by_one:
             off_by_one[shift] += brute_continuation(m, y, z, side, shift) != want
+        entry = len(y) + 1 if side == LR else len(z)
+        loops += sum(walk(m, ext.symbols, q, entry) is None for q in pm.domain)
     # An entry one symbol off gives a different map on some draws, so the
     # comparison above pins the entry position.
     assert all(off_by_one.values()), off_by_one
+    assert (loops > 0) == (spec == "pingpong")
+
+
+@pytest.mark.parametrize(
+    "spec", ["subset:3", "broken:3:2", SUBSET2_TABLE, "two_way", "pingpong", TWOWAY2_TABLE]
+)
+def test_continue_matches_simulate(spec):
+    # _continue steps its runs inline, and tdfa._simulate is its reference.
+    # Every state runs from every seam of seeded tapes, so on each side the
+    # entry lies at both ends of the tape and everywhere between.
+    m = load(spec)
+    rng = random.Random(6)
+    states = list(m.states)
+    far = {LR: tdfa.HIT_RIGHT, RL: tdfa.HIT_LEFT}
+    loops = 0
+    for n in range(1, 6):
+        for _ in range(6):
+            tape = tuple(OwlSymbol.from_mask(m.h, rng.getrandbits(m.h * m.h)) for _ in range(n))
+            for side, cut in itertools.product((LR, RL), range(n)):
+                if side == LR:
+                    y, e, entry = tape[:cut], tape[cut:], cut + 1
+                else:
+                    e, y, entry = tape[: cut + 1], tape[cut + 1 :], cut + 1
+                runs = {q: tdfa._simulate(m, tape, q, entry, 1, n) for q in states}
+                want = {q: c.state for q, c in runs.items() if c.outcome == far[side]}
+                assert exits._continue(m, states, y, (e,), side, len(states) + 1) == (tape, want)
+                loops += sum(c.outcome == tdfa.LOOP for c in runs.values())
+    assert loops > 0 or spec not in ("pingpong", TWOWAY2_TABLE)
+
+
+@pytest.mark.parametrize("side", [LR, RL])
+def test_continue_returns_the_first_candidate_below_the_bound(side):
+    # The descent asks for the first candidate whose exit set is smaller than
+    # y's; alpha and beta ask for the one candidate's map whatever its size.
+    m = load(TWOWAY2_TABLE)
+    rng = random.Random(8)
+    y = random_string(rng, 2, 3)
+    dom = sorted(traversal_map(m, y, side).exit_states)
+    words = [random_string(rng, 2, 2).symbols for _ in range(30)]
+    candidates = []
+    for e in words:
+        z = OwlString(2, e)
+        candidates.append((exits.extend(y, z, side).symbols, brute_continuation(m, y, z, side)))
+    sizes = {len(set(mapping.values())) for _, mapping in candidates}
+    assert len(sizes) > 1
+    for below in range(len(dom) + 2):
+        want = next((c for c in candidates if len(set(c[1].values())) < below), None)
+        assert exits._continue(m, dom, y.symbols, iter(words), side, below) == want
 
 
 def test_partial_map_call():
@@ -267,8 +346,25 @@ def test_descend_generic_stays_in_property():
 def test_descend_generic_start_must_be_in_property():
     m = tdfa.build_subset_solver(2)
     target = sequence.build_sequence(2)[1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not in the target property"):
         descend_generic(m, target, start=OwlString(2, ()))
+
+
+def test_descend_generic_refuses_a_start_of_another_height():
+    m = tdfa.build_subset_solver(2)
+    target = sequence.build_sequence(2)[1]
+    with pytest.raises(ValueError, match="start string height 3 does not match target height 2"):
+        descend_generic(m, target, start=OwlString(3, [identity_symbol(3)]))
+
+
+def test_descend_generic_refuses_a_negative_max_ext_len():
+    m = tdfa.build_subset_solver(2)
+    target = sequence.build_sequence(2)[1]
+    with pytest.raises(ValueError, match="max_ext_len must be >= 0, got -1"):
+        descend_generic(m, target, max_ext_len=-1)
+    # Length 0 searches nothing: the start is its own certificate.
+    cert = descend_generic(m, target, max_ext_len=0)
+    assert cert.size_history == (exit_size(m, owl.representative(target), LR),)
 
 
 def test_descend_generic_deterministic():
@@ -489,13 +585,16 @@ def reference_descent(m, target, max_ext_len, side, start):
         ("broken:3:1", 1),
         ("broken:3:2", 1),
         ("two_way", 2),
+        ("pingpong", 2),
+        (TWOWAY2_TABLE, 2),
     ],
 )
 def test_descent_matches_full_resimulation(spec, max_ext_len):
     # The descent sizes a candidate by continuing y's exit states across the
     # extension; re-running every state over y + e must give the same descent,
     # from each chain representative and from seeded random start strings.
-    m = two_way_machine() if spec == "two_way" else cli.load_machine(spec)
+    # pingpong and the two-way table loop on some continued runs.
+    m = load(spec)
     rng = random.Random(4)
     starts = [(target, None) for target in sequence.build_sequence(m.h).matrices]
     for _ in range(10):
