@@ -219,18 +219,16 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(sorted(syms, key=lambda s: s.sorted_edges))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Alphabet:
     """A generator list indexed by rows: `rows[k]` pairs each value r that
     row k of some generator takes with the generators whose row k is r, as
-    a bitset of their positions in `symbols`; `matrices[i]` is the matrix
-    of `symbols[i]`, whose product memo every extension scan longer than
-    one letter reuses. It depends only on the list, so the descent builds
-    it once per height (`_alphabet`)."""
+    a bitset of their positions in `symbols`. It depends only on the list,
+    so the descent builds it once per height (`_alphabet`). Equality and
+    hashing are by identity, which keys `_matrices`."""
 
     symbols: tuple[OwlSymbol, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
-    matrices: tuple[BoolMatrix, ...]
 
     @classmethod
     def of(cls, generators) -> _Alphabet:
@@ -242,14 +240,22 @@ class _Alphabet:
         for pos, g in enumerate(symbols):
             for k, r in enumerate(g.rows):
                 positions[k][r] = positions[k].get(r, 0) | 1 << pos
-        rows = tuple(tuple(by_value.items()) for by_value in positions)
-        return cls(symbols, rows, tuple(matrix._trusted(g.h, g.rows) for g in symbols))
+        return cls(symbols, tuple(tuple(by_value.items()) for by_value in positions))
 
 
 @functools.lru_cache(maxsize=8)
 def _alphabet(h: int) -> _Alphabet:
     """The alphabet of `default_generators(h)`, built once per height."""
     return _Alphabet.of(default_generators(h))
+
+
+@functools.lru_cache(maxsize=8)
+def _matrices(alphabet: _Alphabet) -> tuple[BoolMatrix, ...]:
+    """The matrix of each of the alphabet's generators, whose product memo
+    every extension scan longer than one letter reuses. Built on the first
+    such scan, so a process whose scans are all one letter long builds
+    none; the descent's alphabets are one per height (`_alphabet`)."""
+    return tuple(matrix._trusted(g.h, g.rows) for g in alphabet.symbols)
 
 
 def _extensions(
@@ -313,6 +319,7 @@ def _extensions(
     # Prefix products stay row tuples: they key last_letters and feed the
     # product kernel, and are never wrapped as matrices.
     last_letters = {}  # prefix product rows -> the generators that end an in-property word
+    matrices = _matrices(alphabet) if max_ext_len > 1 else ()
     frontier = [((), left.rows)]
     for length in range(1, max_ext_len + 1):
         nxt = []
@@ -327,7 +334,7 @@ def _extensions(
             if length < max_ext_len:
                 nxt.extend(
                     (word + (g,), matrix._product_rows(prod, c))
-                    for g, c in zip(gens, alphabet.matrices)
+                    for g, c in zip(gens, matrices)
                 )
         frontier = nxt
 

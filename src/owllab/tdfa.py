@@ -332,13 +332,19 @@ def _truncate_mask(mask: int, cap: int) -> int:
 # sets plus accept and reject.
 _MAX_SUBSET_STATES = (1 << 12) + 2
 
+# The highest h whose subset-like machines get a move table: its 2^h
+# entries are the exact solver's own state count at this bound.
+_MOVE_TABLE_MAX_H = 12
+
 
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     """States `s<mask>` for every node set of at most cap nodes, by mask
     value, plus accept and reject. The names, and each state's nodes as row
     indices, are built once; a step ORs the symbol's rows at those indices
-    and looks the image up, truncating it only when it has more than cap
-    nodes and so names no state."""
+    and looks the image's move up. Up to h = 12 the moves are one tuple,
+    indexed by the image mask, of each image's move already truncated to
+    its cap lowest nodes; above that an image that has more than cap nodes,
+    and so names no state, is truncated at each step."""
     _check_h(h)  # before the shift and math.comb below, which a negative h would break
     size = sum(math.comb(h, n) for n in range(cap + 1)) + 2
     if size > _MAX_SUBSET_STATES:
@@ -351,6 +357,9 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     nodes_of[ACCEPT] = nodes_of[REJECT] = None
     start = name_of[_truncate_mask(full, cap)]
     empty_set = name_of[0]
+    moves = None
+    if h <= _MOVE_TABLE_MAX_H:
+        moves = tuple((name_of.get(out) or name_of[_truncate_mask(out, cap)], "R") for out in range(full + 1))
 
     def delta(q: str, sym) -> tuple[str, str]:
         nodes = nodes_of[q]
@@ -366,6 +375,8 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
         out = 0
         for k in nodes:
             out |= rows[k]
+        if moves is not None:
+            return moves[out]
         return name_of.get(out) or name_of[_truncate_mask(out, cap)], "R"
 
     states = [name_of[m] for m, _ in by_mask] + [ACCEPT, REJECT]

@@ -495,7 +495,7 @@ def test_alphabet_rows_index_generator_positions():
     gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident)
     alphabet = exits._Alphabet.of(gens)
     assert alphabet.symbols == gens
-    assert alphabet.matrices == tuple(owl.connectivity(OwlString(2, [g])) for g in gens)
+    assert exits._matrices(alphabet) == tuple(owl.connectivity(OwlString(2, [g])) for g in gens)
     for k, pairs in enumerate(alphabet.rows):
         assert type(pairs) is tuple
         want = {}
@@ -506,6 +506,23 @@ def test_alphabet_rows_index_generator_positions():
         exits._Alphabet.of(())
     with pytest.raises(ValueError):
         exits._Alphabet.of((ident, owl.identity_symbol(3)))
+
+
+def test_generator_matrices_wait_for_a_scan_longer_than_one_letter():
+    # One-letter scans read only the alphabet's rows, so the generators'
+    # matrices are built on the first longer scan, and once per alphabet.
+    exits._alphabet.cache_clear()
+    exits._matrices.cache_clear()
+    m = cli.load_machine("broken:3:2")
+    target = sequence.build_sequence(3)[3]
+    for side in (LR, RL):
+        exits.descend_generic(m, target, max_ext_len=1, side=side)
+    assert exits._matrices.cache_info().currsize == 0
+    for side in (LR, RL):
+        exits.descend_generic(m, target, max_ext_len=2, side=side)
+    info = exits._matrices.cache_info()
+    assert info.misses == 1 and info.currsize == 1 and info.hits >= 1
+    assert len(exits._matrices(exits._alphabet(3))) == 512
 
 
 def test_exit_chain_builds_the_alphabet_once():

@@ -408,7 +408,7 @@ def _liveness_cases(rng, h):
     return cases
 
 
-@pytest.mark.parametrize("h", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("h", [1, 2, 3, 9, 13, 16, 64])
 def test_is_live_matches_connectivity_and_nfa_live(h):
     rng = random.Random(1000 + h)
     cases = _liveness_cases(rng, h)
@@ -439,6 +439,20 @@ def test_is_live_uses_neither_the_kernel_nor_the_other_oracle(monkeypatch, targe
     module, name = target.split(".")
     monkeypatch.setattr({"matrix": matrix, "owl": owl}[module], name, refuse)
     assert [is_live(z) for z in cases] == want
+
+
+@pytest.mark.parametrize("target", ["matrix._product_rows", "owl.symbol_matrix", "owl.is_live"])
+def test_nfa_live_uses_neither_the_kernel_nor_the_other_oracle(monkeypatch, target):
+    rng = random.Random(7)
+    cases = [z for h in (1, 2, 3, 9, 13, 16, 64) for z in _liveness_cases(rng, h)]
+    want = [connectivity(z) != matrix.zero(z.h) for z in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"nfa_live called {target}")
+
+    module, name = target.split(".")
+    monkeypatch.setattr({"matrix": matrix, "owl": owl}[module], name, refuse)
+    assert [nfa_live(z) for z in cases] == want
 
 
 def test_modules_import_only_what_they_use():

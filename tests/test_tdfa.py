@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 
@@ -531,14 +532,26 @@ def _probe_symbols(h, rng):
     return syms + [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("h", range(1, 13))
+def _admitted_caps(h):
+    """Every cap from 1 to h + 1 whose machine fits the 4098-state budget."""
+    return [
+        cap
+        for cap in range(1, h + 2)
+        if sum(math.comb(h, n) for n in range(min(cap, h) + 1)) + 2 <= tdfa._MAX_SUBSET_STATES
+    ]
+
+
+@pytest.mark.parametrize("h", [*range(1, 13), 13, 16])
 def test_subset_transitions_match_reference(h):
     # Every state up to h = 4; above that the start state, the halting
-    # states and a seeded sample of 16 others.
+    # states and a seeded sample of 16 others. Up to h = 12 a step looks its
+    # move up in a table; above that it truncates the image itself.
     rng = random.Random(h)
     probes = [LEND, REND] + _probe_symbols(h, rng)
-    machines = [(build_subset_solver(h), h)]
-    machines += [(build_broken_solver(h, cap), cap) for cap in range(1, h + 2)]
+    caps = _admitted_caps(h)
+    assert caps == {13: [1, 2, 3, 4, 5, 6], 16: [1, 2, 3, 4]}.get(h, list(range(1, h + 2)))
+    machines = [(build_subset_solver(h), h)] if h <= 12 else []
+    machines += [(build_broken_solver(h, cap), cap) for cap in caps]
     for m, cap in machines:
         states, start, delta = _reference_subset_like(h, min(cap, h))
         assert list(m.states) == states
@@ -548,6 +561,26 @@ def test_subset_transitions_match_reference(h):
         for q in states:
             for sym in probes:
                 assert m.delta(q, sym) == delta(q, sym), (m.name, q, sym)
+
+
+@pytest.mark.parametrize("h, cap, truncates", [(8, 4, False), (12, 2, False), (13, 2, True), (16, 2, True)])
+def test_subset_steps_truncate_only_above_the_move_table_bound(monkeypatch, h, cap, truncates):
+    # Up to h = 12 every move, truncated or not, is in the table built with
+    # the machine, so a run truncates nothing; above that it truncates.
+    m = build_broken_solver(h, cap)
+    calls = []
+
+    def counted(mask, cap):
+        calls.append(mask)
+        return truncate(mask, cap)
+
+    truncate = tdfa._truncate_mask
+    monkeypatch.setattr(tdfa, "_truncate_mask", counted)
+    rng = random.Random(h)
+    for _ in range(20):
+        z = OwlString(h, [OwlSymbol.from_mask(h, rng.getrandbits(h * h)) for _ in range(3)])
+        assert decide(m, z) in (ACCEPT, REJECT)
+    assert bool(calls) == truncates
 
 
 def test_computation_is_immutable():
