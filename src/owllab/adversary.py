@@ -125,7 +125,7 @@ def pump(m: Tdfa, t: int, max_ext_len: int = 1) -> PumpResult:
     n = sequence.chain_length(h)
     if not 1 <= t <= n:
         raise ValueError(f"t={t} outside [1, {n}] for h={h}")
-    c_prev, c_next = itertools.islice(sequence._chain(h), t - 1, t + 1)
+    c_prev, c_next = itertools.islice(sequence.build_sequence(h), t - 1, t + 1)
 
     # theta = y_LR.y_RL inherits both certificates; c_prev^2 = c_prev keeps it in.
     lr, rl = _descend_both(m, c_prev, max_ext_len)
@@ -252,12 +252,14 @@ def exit_chain(m: Tdfa, max_ext_len: int = 1) -> ExitChainReport:
     sizes have and cannot bounce upward from search noise. A seed has
     connectivity C_{t-1} C_t = C_t, or `descend_generic` refuses it.
     """
-    chain = sequence.build_sequence(m.h).matrices
-    certs = [_descend_both(m, chain[0], max_ext_len)]
-    for prev, target in itertools.pairwise(chain):
+    chain = sequence.build_sequence(m.h)
+    prev = next(chain)
+    certs = [_descend_both(m, prev, max_ext_len)]
+    for target in chain:
         suffix = OwlString(m.h, [owl.suffix_of_choice_witness(prev, target)])
         starts = [exits.extend(c.y, suffix, c.side) for c in certs[-1]]
         certs.append(_descend_both(m, target, max_ext_len, starts))
+        prev = target
     return ExitChainReport(m.name, m.h, tuple(certs), max_ext_len)
 
 

@@ -95,7 +95,7 @@ def _chain_matrix(h: int, t: int, flag: str) -> BoolMatrix:
     n = sequence.chain_length(h)
     if not 0 <= t <= n:
         raise CliError(f"{flag} must be in [0, {n}] for h={h}")
-    return next(islice(sequence._chain(h), t, None))
+    return next(islice(sequence.build_sequence(h), t, None))
 
 
 def cmd_seq(args) -> tuple[int, dict | str]:
@@ -103,7 +103,7 @@ def cmd_seq(args) -> tuple[int, dict | str]:
     if t is None:
         if args.kind != "c":
             raise CliError(f"--kind {args.kind} needs --index")
-        return EXIT_OK, sequence.build_sequence(h).to_json()
+        return EXIT_OK, {"h": h, "matrices": [c.row_hex() for c in sequence.build_sequence(h)]}
     # Only the chain itself is built; an increment is computed from (t, h).
     kinds = {
         "c": lambda: _chain_matrix(h, t, "--index"),

@@ -212,8 +212,7 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     all-edges symbols above that."""
     if h <= 3:
         return owl.all_symbols(h)
-    seq = sequence.build_sequence(h)
-    syms = {owl.representative_symbol(c) for c in seq.matrices}
+    syms = {owl.representative_symbol(c) for c in sequence.build_sequence(h)}
     syms.add(owl.identity_symbol(h))
     syms.add(owl.full_symbol(h))
     return tuple(sorted(syms, key=lambda s: s.sorted_edges))

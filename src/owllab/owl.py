@@ -166,8 +166,7 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
 # representatives a chain check has just sampled, so a repeated symbol keeps
 # its product memo across folds. 64 holds that with room to spare, and
 # bounds what a long run keeps alive; extension scans keep their
-# generators' matrices on the alphabet (exits._Alphabet). is_live never
-# looks anything up.
+# generators' matrices in exits._matrices. is_live never looks anything up.
 @functools.lru_cache(maxsize=64)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""

@@ -86,23 +86,13 @@ def d_prime(t: int, h: int) -> BoolMatrix:
     return matrix._trusted(h, (_tail_bits(j, h),) * h)
 
 
-@dataclass(frozen=True)
-class ConnectivitySequence:
-    h: int
-    matrices: tuple[BoolMatrix, ...]
-
-    def __getitem__(self, t: int) -> BoolMatrix:
-        return self.matrices[t]
-
-    def to_json(self) -> dict:
-        return {"h": self.h, "matrices": [m.row_hex() for m in self.matrices]}
-
-
-def _chain(h: int):
+def build_sequence(h: int):
     """Yield C_0 .. C_N for height h, the chain's one builder. Each step is
     cross-checked against its widened increment before it is yielded, and
     stage 2 must end all-ones. Only the matrix last yielded is kept here, so
-    a caller that drops each one holds no more of the chain than it keeps."""
+    a caller that drops each one holds no more of the chain than it keeps.
+    As a generator, it checks h on the first `next`."""
+    matrix._check_h(h)
     u, n = num_upper(h), chain_length(h)
     cur = matrix.identity(h)
     yield cur
@@ -120,13 +110,6 @@ def _chain(h: int):
     if cur != matrix.all_ones(h):
         raise AssertionError(f"stage 2 did not end all-ones for h={h}")
     yield matrix.zero(h)
-
-
-def build_sequence(h: int) -> ConnectivitySequence:
-    """All chain matrices for height h, cross-checked against the widened
-    increments."""
-    matrix._check_h(h)
-    return ConnectivitySequence(h, tuple(_chain(h)))
 
 
 @dataclass
@@ -183,7 +166,7 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
     # Every check reads only C_{t-1} and C_t, so the chain is streamed: a
     # matrix and the product memo its checks fill are dropped two steps on.
     ct = None
-    for t, step in enumerate(_chain(h)):
+    for t, step in enumerate(build_sequence(h)):
         prev, ct = ct, step
         check(prod(ct.rows, ct) == ct.rows, "C_%d^2 != C_%d (h=%d)", t, t, h)
         if t == 0:

@@ -48,11 +48,11 @@ def random_string(rng, h, max_len):
 
 
 def criterion_1():
-    seq = sequence.build_sequence(5)
+    seq = tuple(sequence.build_sequence(5))
     mismatches = []
     u, n = sequence.num_upper(5), sequence.chain_length(5)
-    if (u, n, len(seq.matrices)) != (10, 15, 16):
-        mismatches.append(f"U,N = {u},{n} with {len(seq.matrices)} matrices")
+    if (u, n, len(seq)) != (10, 15, 16):
+        mismatches.append(f"U,N = {u},{n} with {len(seq)} matrices")
     expected = [(f"C_{t}", seq[t].to_text(), text) for t, text in CHAIN_H5.items()]
     expected += [(f"E_{t}", sequence.e_matrix(t, 5).to_text(), x) for t, x in E_H5.items()]
     expected += [
@@ -200,7 +200,7 @@ def criterion_6():
     failures = 0
     steps = 0
     for h in range(2, 6):
-        seq = sequence.build_sequence(h)
+        seq = tuple(sequence.build_sequence(h))
         rng = random.Random(0)
         for t in range(1, sequence.chain_length(h) + 1):
             prev, ct = seq[t - 1], seq[t]

@@ -31,7 +31,7 @@ def test_pump_breaks_accept_all():
         ]
         assert any(wrong)
         # theta is y_LR.y_RL with no infix: C_0 is idempotent, so it stays in.
-        c_prev = sequence.build_sequence(h)[0]
+        c_prev = tuple(sequence.build_sequence(h))[0]
         lr, rl = (exits.descend_generic(m, c_prev, side=side) for side in (exits.LR, exits.RL))
         assert res.theta == lr.y + rl.y
         assert owl.connectivity(res.theta) == c_prev

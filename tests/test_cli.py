@@ -48,11 +48,14 @@ def test_seq_auxiliary_kinds(capsys, monkeypatch, kind, index):
 
 
 def test_seq_full_json(capsys):
-    code, out, _ = run_cli(capsys, "seq", "--height", "3")
+    code, out, _ = run_cli(capsys, "seq", "--height", "5")
     assert code == 0
     blob = json.loads(out)
     assert blob["command"] == "seq"
-    assert len(blob["result"]["matrices"]) == sequence.chain_length(3) + 1
+    matrices = blob["result"]["matrices"]
+    assert len(matrices) == sequence.chain_length(5) + 1
+    for t, text in CHAIN_H5.items():
+        assert matrices[t] == BoolMatrix.from_text(text).row_hex(), t
 
 
 def test_seq_index_out_of_range(capsys):
@@ -80,10 +83,10 @@ def test_seq_chain_index_out_of_range(capsys, index):
 
 def test_one_chain_matrix_is_step_t_of_the_chain():
     for h in range(1, 7):
-        seq = sequence.build_sequence(h)
+        seq = tuple(sequence.build_sequence(h))
         for t in range(sequence.chain_length(h) + 1):
             assert cli._chain_matrix(h, t, "--index") == seq[t], (h, t)
-    seq = sequence.build_sequence(64)
+    seq = tuple(sequence.build_sequence(64))
     for t in (0, 1, sequence.chain_length(64)):
         assert cli._chain_matrix(64, t, "--index") == seq[t], t
 
@@ -91,7 +94,7 @@ def test_one_chain_matrix_is_step_t_of_the_chain():
 def test_one_chain_matrix_cross_checks_every_step_up_to_it(monkeypatch):
     # A widened increment that misses its cell at step 7 stops every read of
     # C_7 or later, and no read before it.
-    c6 = sequence.build_sequence(6)[6]
+    c6 = tuple(sequence.build_sequence(6))[6]
     e_prime = sequence.e_prime
 
     def dropped(t, h):
@@ -106,25 +109,43 @@ def test_one_chain_matrix_cross_checks_every_step_up_to_it(monkeypatch):
 
 
 def test_seq_generic_and_pump_never_build_the_whole_chain(capsys, monkeypatch, tmp_path):
-    targets = sequence.build_sequence(3)
+    # Each command that reads step t stops the builder there: it pulls at
+    # most C_0 .. C_t, however long the chain is.
+    targets = tuple(sequence.build_sequence(3))
     pump_argv, pump_rc, pump_sha = next(p for p in PINNED_REPORTS if p[0].startswith("pump"))
+    build = sequence.build_sequence
+    pulled = []
 
-    def no_chain(h):
-        raise AssertionError("build_sequence called")
+    def counted(h):
+        for c in build(h):
+            pulled.append(c)
+            yield c
 
-    monkeypatch.setattr(sequence, "build_sequence", no_chain)
+    def pulled_at_most(n):
+        count = len(pulled)
+        pulled.clear()
+        return count <= n
+
+    monkeypatch.setattr(sequence, "build_sequence", counted)
     for t, text in CHAIN_H5.items():
         assert run_cli(capsys, "seq", "--height", "5", "--index", str(t)) == (0, text, "")
+        assert pulled_at_most(t + 1), t
     path = tmp_path / "target.txt"
     generic = ["generic", "--machine", "broken:3:2"]
     for t in (0, 3, 6):
         path.write_text(targets[t].to_text())
         code, by_conn, _ = run_cli(capsys, *generic, "--conn", str(t))
         assert code == 0
+        assert pulled_at_most(t + 1), t
         _, by_file, _ = run_cli(capsys, *generic, "--matrix", str(path))
         assert json.loads(by_conn)["result"] == json.loads(by_file)["result"], t
-    code, out, _ = run_cli(capsys, "--no-timing", *pump_argv.split())
+    pump = pump_argv.split()  # ends "--index N"
+    for t in (1, 3):
+        run_cli(capsys, *pump[:-1], str(t))
+        assert pulled_at_most(t + 1), t
+    code, out, _ = run_cli(capsys, "--no-timing", *pump)
     assert code == pump_rc
+    assert pulled_at_most(int(pump[-1]) + 1)
     assert hashlib.sha256(out.encode()).hexdigest() == pump_sha
     for index in ("-1", "7"):
         code, out, err = run_cli(capsys, "pump", "--machine", "subset:3", "--index", index)
@@ -425,6 +446,8 @@ MALFORMED_FILES = {
         "verify-seq --height 1_0",
         "seq --height 2 --index +1",
         "seq --height 2 --kind e",
+        "seq --height 0",
+        "seq --height 65",
         "fuzz --machine subset:2 --samples \u0663",
         "fuzz --machine subset:2 --seed +5",
         "--seed +5 fuzz --machine subset:2",

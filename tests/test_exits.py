@@ -314,7 +314,7 @@ def test_default_generators():
 
 def test_descend_generic_accept_all():
     m = tdfa.build_accept_all(2)
-    target = sequence.build_sequence(2)[0]
+    target = tuple(sequence.build_sequence(2))[0]
     cert = descend_generic(m, target)
     # A single exit state cannot shrink further (a dead-end machine aside).
     assert cert.exit_size == 1
@@ -330,7 +330,7 @@ def test_descend_generic_stays_in_property():
     specs += [f"broken:{h}:{cap}" for h in (1, 2, 3) for cap in range(1, h + 1)]
     for spec in specs:
         m = cli.load_machine(spec)
-        seq = sequence.build_sequence(m.h)
+        seq = tuple(sequence.build_sequence(m.h))
         for t, side in itertools.product(range(sequence.chain_length(m.h) + 1), (LR, RL)):
             cert = descend_generic(m, seq[t], side=side)
             assert owl.connectivity(cert.y) == seq[t]
@@ -345,21 +345,21 @@ def test_descend_generic_stays_in_property():
 
 def test_descend_generic_start_must_be_in_property():
     m = tdfa.build_subset_solver(2)
-    target = sequence.build_sequence(2)[1]
+    target = tuple(sequence.build_sequence(2))[1]
     with pytest.raises(ValueError, match="not in the target property"):
         descend_generic(m, target, start=OwlString(2, ()))
 
 
 def test_descend_generic_refuses_a_start_of_another_height():
     m = tdfa.build_subset_solver(2)
-    target = sequence.build_sequence(2)[1]
+    target = tuple(sequence.build_sequence(2))[1]
     with pytest.raises(ValueError, match="start string height 3 does not match target height 2"):
         descend_generic(m, target, start=OwlString(3, [identity_symbol(3)]))
 
 
 def test_descend_generic_refuses_a_negative_max_ext_len():
     m = tdfa.build_subset_solver(2)
-    target = sequence.build_sequence(2)[1]
+    target = tuple(sequence.build_sequence(2))[1]
     with pytest.raises(ValueError, match="max_ext_len must be >= 0, got -1"):
         descend_generic(m, target, max_ext_len=-1)
     # Length 0 searches nothing: the start is its own certificate.
@@ -369,7 +369,7 @@ def test_descend_generic_refuses_a_negative_max_ext_len():
 
 def test_descend_generic_deterministic():
     m = tdfa.build_subset_solver(2)
-    target = sequence.build_sequence(2)[1]
+    target = tuple(sequence.build_sequence(2))[1]
     a = descend_generic(m, target)
     b = descend_generic(m, target)
     assert a.y == b.y
@@ -378,7 +378,7 @@ def test_descend_generic_deterministic():
 
 def test_certificate_json_shape():
     m = tdfa.build_accept_all(2)
-    cert = descend_generic(m, sequence.build_sequence(2)[0])
+    cert = descend_generic(m, tuple(sequence.build_sequence(2))[0])
     blob = cert.to_json()
     assert blob["exit_size"] == 1
     assert blob["side"] == LR
@@ -415,26 +415,26 @@ def assert_filter_matches(generators, max_ext_len, target):
 
 @pytest.mark.parametrize("t", range(4))
 def test_extensions_match_brute_force_h2(t):
-    assert_filter_matches(owl.all_symbols(2), 3, sequence.build_sequence(2)[t])
+    assert_filter_matches(owl.all_symbols(2), 3, tuple(sequence.build_sequence(2))[t])
 
 
 @pytest.mark.parametrize("t", range(7))
 def test_extensions_match_brute_force_h3_length_1(t):
-    assert_filter_matches(owl.all_symbols(3), 1, sequence.build_sequence(3)[t])
+    assert_filter_matches(owl.all_symbols(3), 1, tuple(sequence.build_sequence(3))[t])
 
 
 @pytest.mark.parametrize("t", range(11))
 def test_extensions_match_brute_force_h4_length_2(t):
     # The chain representatives, identity and all-edges symbols are not the
     # alphabet, so a generator's bit position is not its symbol mask.
-    assert_filter_matches(default_generators(4), 2, sequence.build_sequence(4)[t])
+    assert_filter_matches(default_generators(4), 2, tuple(sequence.build_sequence(4))[t])
 
 
 def test_extensions_multiply_by_the_alphabet_matrices(monkeypatch):
     # Words longer than one letter extend prefix products by each generator's
     # matrix, which the alphabet holds, not the symbol_matrix cache.
     gens = default_generators(4)
-    target = sequence.build_sequence(4)[6]
+    target = tuple(sequence.build_sequence(4))[6]
     want = brute_force_extensions(gens, 2, target, LR)
 
     def refuse(a):
@@ -450,10 +450,10 @@ def test_extensions_match_brute_force_h3_length_2_unsorted():
     gens = [OwlSymbol.from_mask(3, mask) for mask in random.Random(5).sample(range(512), 19)]
     gens = tuple(gens + gens[1:2])
     assert list(gens) != sorted(gens, key=lambda s: s.sorted_edges)
-    for target in sequence.build_sequence(3).matrices:
+    for target in sequence.build_sequence(3):
         assert_filter_matches(gens, 2, target)
     # The last targets keep many of these words, the duplicate's among them.
-    words = filtered_extensions(gens, 2, sequence.build_sequence(3)[5], LR)
+    words = filtered_extensions(gens, 2, tuple(sequence.build_sequence(3))[5], LR)
     assert len(words) == 308
     assert words.count((gens[1],)) == 2
 
@@ -471,14 +471,14 @@ def test_extensions_keep_duplicate_generators():
     ident, full = owl.identity_symbol(2), owl.full_symbol(2)
     gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident, owl.empty_symbol(2))
     for t in range(4):
-        target = sequence.build_sequence(2)[t]
+        target = tuple(sequence.build_sequence(2))[t]
         assert_filter_matches(gens, 3, target)
-    words = filtered_extensions(gens, 1, sequence.build_sequence(2)[0], LR)
+    words = filtered_extensions(gens, 1, tuple(sequence.build_sequence(2))[0], LR)
     assert words.count((ident,)) == 2
 
 
 def test_extensions_of_length_zero_are_none():
-    target = sequence.build_sequence(2)[1]
+    target = tuple(sequence.build_sequence(2))[1]
     for side in (LR, RL):
         assert filtered_extensions(owl.all_symbols(2), 0, target, side) == []
 
@@ -514,7 +514,7 @@ def test_generator_matrices_wait_for_a_scan_longer_than_one_letter():
     exits._alphabet.cache_clear()
     exits._matrices.cache_clear()
     m = cli.load_machine("broken:3:2")
-    target = sequence.build_sequence(3)[3]
+    target = tuple(sequence.build_sequence(3))[3]
     for side in (LR, RL):
         exits.descend_generic(m, target, max_ext_len=1, side=side)
     assert exits._matrices.cache_info().currsize == 0
@@ -540,7 +540,7 @@ def test_exit_chain_builds_the_alphabet_once():
 )
 def test_descend_generic_pinned_h3(side, history, symbols):
     m = tdfa.build_broken_solver(3, 2)
-    cert = descend_generic(m, sequence.build_sequence(3)[3], max_ext_len=2, side=side)
+    cert = descend_generic(m, tuple(sequence.build_sequence(3))[3], max_ext_len=2, side=side)
     assert cert.size_history == history
     assert [s.to_hex() for s in cert.y.symbols] == symbols
 
@@ -556,7 +556,7 @@ def test_descent_builds_strings_only_on_adoption(monkeypatch):
         check(self)
 
     monkeypatch.setattr(OwlString, "__post_init__", counting)
-    target = sequence.build_sequence(3)[3]
+    target = tuple(sequence.build_sequence(3))[3]
     # subset:3 adopts nothing after a full ext-len-2 scan; broken:3:2 adopts once.
     for spec, history in (("subset:3", (4,)), ("broken:3:2", (4, 3))):
         built.clear()
@@ -613,7 +613,7 @@ def test_descent_matches_full_resimulation(spec, max_ext_len):
     # pingpong and the two-way table loop on some continued runs.
     m = load(spec)
     rng = random.Random(4)
-    starts = [(target, None) for target in sequence.build_sequence(m.h).matrices]
+    starts = [(target, None) for target in sequence.build_sequence(m.h)]
     for _ in range(10):
         y = random_string(rng, m.h, 4)
         starts.append((owl.connectivity(y), y))

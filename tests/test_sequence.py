@@ -2,15 +2,16 @@
 
 import functools
 import gc
+import json
 import tracemalloc
 import weakref
+from itertools import islice
 
 import pytest
 
-from owllab import matrix, owl, sequence
+from owllab import cli, matrix, owl, sequence
 from owllab.matrix import BoolMatrix
 from owllab.sequence import (
-    ConnectivitySequence,
     SequenceReport,
     build_sequence,
     cell_index,
@@ -95,9 +96,9 @@ def test_stage2_column():
 
 
 def test_chain_frozen_values_h5():
-    seq = build_sequence(5)
+    seq = tuple(build_sequence(5))
     assert num_upper(5) == 10 and chain_length(5) == 15
-    assert len(seq.matrices) == 16
+    assert len(seq) == 16
     for t, text in CHAIN_H5.items():
         assert seq[t].to_text() == text, f"C_{t} mismatch"
 
@@ -125,37 +126,36 @@ def test_e_prime_widens_to_the_right():
 
 def test_chain_endpoints():
     for h in (1, 2, 5, 8):
-        seq = build_sequence(h)
+        seq = tuple(build_sequence(h))
         n = chain_length(h)
-        assert len(seq.matrices) == n + 1
+        assert len(seq) == n + 1
         assert seq[0] == matrix.identity(h)
         assert seq[n - 1] == matrix.all_ones(h)
         assert seq[n] == matrix.zero(h)
 
 
 def test_chain_adds_one_cell_per_stage1_step():
-    seq = build_sequence(4)
+    seq = tuple(build_sequence(4))
     for t in range(1, num_upper(4) + 1):
         fresh = set(_cells(seq[t])) - set(_cells(seq[t - 1]))
         assert fresh == {cell_index(t, 4)}
 
 
 def test_chain_stage2_fills_columns():
-    seq = build_sequence(4)
+    seq = tuple(build_sequence(4))
     for t in range(num_upper(4) + 1, chain_length(4)):
         j = stage2_column(t, 4)
         fresh = set(_cells(seq[t])) - set(_cells(seq[t - 1]))
         assert fresh == {(i, j) for i in range(j + 1, 5)}
 
 
-def test_sequence_json_round_trip():
-    seq = build_sequence(3)
-    blob = seq.to_json()
-    rebuilt = ConnectivitySequence(
-        blob["h"],
-        tuple(BoolMatrix(blob["h"], tuple(int(r, 16) for r in rows)) for rows in blob["matrices"]),
+def test_sequence_json_round_trip(capsys):
+    assert cli.main(["seq", "--height", "3"]) == 0
+    blob = json.loads(capsys.readouterr().out)["result"]
+    rebuilt = tuple(
+        BoolMatrix(blob["h"], tuple(int(r, 16) for r in rows)) for rows in blob["matrices"]
     )
-    assert rebuilt == seq
+    assert rebuilt == tuple(build_sequence(3))
 
 
 def test_verify_sequence_small_heights():
@@ -221,8 +221,9 @@ def test_product_checks_catch_a_wrong_product_row(monkeypatch):
 
 def test_nothing_is_retained_between_calls():
     seq, ep = build_sequence(8), e_prime(3, 8)
-    refs = [weakref.ref(seq), weakref.ref(seq[5]), weakref.ref(ep)]
-    del seq, ep
+    c5 = next(islice(seq, 5, None))
+    refs = [weakref.ref(seq), weakref.ref(c5), weakref.ref(ep)]
+    del seq, c5, ep
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
 
@@ -245,14 +246,14 @@ def test_symbol_matrix_cache_stays_bounded_without_losing_a_hit(monkeypatch):
 
 def test_verify_holds_two_chain_matrices_not_the_chain():
     # verify_sequence streams the chain, so its traced peak is the two
-    # matrices it reads and their memos, not the N + 1 that build_sequence
-    # returns. h = 32 keeps the row tuples past the interpreter's tuple free
+    # matrices it reads and their memos, not all N + 1 that build_sequence
+    # yields. h = 32 keeps the row tuples past the interpreter's tuple free
     # list, which tracemalloc would count as still held.
     h = 32
     gc.collect()
     tracemalloc.start()
     try:
-        seq = build_sequence(h)
+        seq = tuple(build_sequence(h))
         held = tracemalloc.get_traced_memory()[0]
         del seq
         gc.collect()
@@ -280,7 +281,7 @@ def test_chain_cross_check_names_the_step(monkeypatch):
     monkeypatch.setattr(sequence, "e_prime", dropped)
     want = f"plain/widened increment disagree at t={bad_t}, h=6"
     with pytest.raises(AssertionError, match=want):
-        build_sequence(6)
+        tuple(build_sequence(6))
     with pytest.raises(AssertionError, match=want):
         verify_sequence(6)
 
