@@ -28,10 +28,6 @@ EXIT_FOUND = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    pass
-
-
 # An integer as the command line spells it: ASCII decimal digits with an
 # optional minus. int() alone also takes "+3", " 3", "1_0" and non-ASCII digits.
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -52,17 +48,17 @@ def load_machine(spec: str) -> Tdfa:
     if build is not None:
         for part in parts[1:]:
             if not _DECIMAL.fullmatch(part):
-                raise CliError(f"bad machine spec {spec!r}: {part!r} is not a decimal integer")
+                raise ValueError(f"bad machine spec {spec!r}: {part!r} is not a decimal integer")
         try:
             return build(*map(int, parts[1:]))
         except ValueError as exc:
-            raise CliError(f"bad machine spec {spec!r}: {exc}")
+            raise ValueError(f"bad machine spec {spec!r}: {exc}")
     if os.path.exists(spec):
         try:
             return Tdfa.load(spec)
         except (OSError, ValueError) as exc:
-            raise CliError(f"cannot load machine {spec!r}: {exc}")
-    raise CliError(f"unknown machine {spec!r} (not a file or builtin name)")
+            raise ValueError(f"cannot load machine {spec!r}: {exc}")
+    raise ValueError(f"unknown machine {spec!r} (not a file or builtin name)")
 
 
 def load_string(path: str) -> OwlString:
@@ -70,7 +66,7 @@ def load_string(path: str) -> OwlString:
         with open(path) as f:
             return OwlString.loads(f.read())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load input string {path!r}: {exc}")
+        raise ValueError(f"cannot load input string {path!r}: {exc}")
 
 
 def _report(args, command: str, result: dict, started: float) -> dict:
@@ -94,7 +90,7 @@ def _chain_matrix(h: int, t: int, flag: str) -> BoolMatrix:
     matrix._check_h(h)
     n = sequence.chain_length(h)
     if not 0 <= t <= n:
-        raise CliError(f"{flag} must be in [0, {n}] for h={h}")
+        raise ValueError(f"{flag} must be in [0, {n}] for h={h}")
     return next(islice(sequence.build_sequence(h), t, None))
 
 
@@ -102,7 +98,7 @@ def cmd_seq(args) -> tuple[int, dict | str]:
     h, t = args.height, args.index
     if t is None:
         if args.kind != "c":
-            raise CliError(f"--kind {args.kind} needs --index")
+            raise ValueError(f"--kind {args.kind} needs --index")
         return EXIT_OK, {"h": h, "matrices": [c.row_hex() for c in sequence.build_sequence(h)]}
     # Only the chain itself is built; an increment is computed from (t, h).
     kinds = {
@@ -152,14 +148,14 @@ def cmd_exits(args) -> tuple[int, dict]:
 
 def _target_matrix(args, m: Tdfa) -> BoolMatrix:
     if (args.conn is None) == (args.matrix is None):
-        raise CliError("supply exactly one of --conn, --matrix")
+        raise ValueError("supply exactly one of --conn, --matrix")
     if args.conn is not None:
         return _chain_matrix(m.h, args.conn, "--conn")
     try:
         with open(args.matrix) as f:
             return BoolMatrix.from_text(f.read())
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot load matrix {args.matrix!r}: {exc}")
+        raise ValueError(f"cannot load matrix {args.matrix!r}: {exc}")
 
 
 def cmd_generic(args) -> tuple[int, dict]:
@@ -301,7 +297,7 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         code, result = args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(result, str):  # raw text matrix output

@@ -218,16 +218,18 @@ def default_generators(h: int) -> tuple[OwlSymbol, ...]:
     return tuple(sorted(syms, key=lambda s: s.sorted_edges))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Alphabet:
     """A generator list indexed by rows: `rows[k]` pairs each value r that
     row k of some generator takes with the generators whose row k is r, as
-    a bitset of their positions in `symbols`. It depends only on the list,
-    so the descent builds it once per height (`_alphabet`). Equality and
-    hashing are by identity, which keys `_matrices`."""
+    a bitset of their positions in `symbols`; `matrices` holds each
+    generator's matrix, whose product memo every extension scan longer than
+    one letter reuses. It depends only on the list, so the descent builds it
+    once per height (`_alphabet`)."""
 
     symbols: tuple[OwlSymbol, ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    matrices: tuple[BoolMatrix, ...]
 
     @classmethod
     def of(cls, generators) -> _Alphabet:
@@ -235,26 +237,20 @@ class _Alphabet:
         heights = {g.h for g in symbols}
         if len(heights) != 1:
             raise ValueError(f"generators must be non-empty and of one height, got {sorted(heights)}")
-        positions = [{} for _ in range(heights.pop())]
+        h = heights.pop()
+        positions = [{} for _ in range(h)]
         for pos, g in enumerate(symbols):
             for k, r in enumerate(g.rows):
                 positions[k][r] = positions[k].get(r, 0) | 1 << pos
-        return cls(symbols, tuple(tuple(by_value.items()) for by_value in positions))
+        rows = tuple(tuple(by_value.items()) for by_value in positions)
+        return cls(symbols, rows, tuple(matrix._trusted(h, g.rows) for g in symbols))
 
 
 @functools.lru_cache(maxsize=8)
 def _alphabet(h: int) -> _Alphabet:
-    """The alphabet of `default_generators(h)`, built once per height."""
+    """The alphabet of `default_generators(h)`, with its generators'
+    matrices, built once per height."""
     return _Alphabet.of(default_generators(h))
-
-
-@functools.lru_cache(maxsize=8)
-def _matrices(alphabet: _Alphabet) -> tuple[BoolMatrix, ...]:
-    """The matrix of each of the alphabet's generators, whose product memo
-    every extension scan longer than one letter reuses. Built on the first
-    such scan, so a process whose scans are all one letter long builds
-    none; the descent's alphabets are one per height (`_alphabet`)."""
-    return tuple(matrix._trusted(g.h, g.rows) for g in alphabet.symbols)
 
 
 def _extensions(
@@ -318,7 +314,6 @@ def _extensions(
     # Prefix products stay row tuples: they key last_letters and feed the
     # product kernel, and are never wrapped as matrices.
     last_letters = {}  # prefix product rows -> the generators that end an in-property word
-    matrices = _matrices(alphabet) if max_ext_len > 1 else ()
     frontier = [((), left.rows)]
     for length in range(1, max_ext_len + 1):
         nxt = []
@@ -333,7 +328,7 @@ def _extensions(
             if length < max_ext_len:
                 nxt.extend(
                     (word + (g,), matrix._product_rows(prod, c))
-                    for g, c in zip(gens, matrices)
+                    for g, c in zip(gens, alphabet.matrices)
                 )
         frontier = nxt
 

@@ -131,7 +131,7 @@ class OwlString:
         return cls.from_json(obj)
 
 
-# Cached like all_symbols: sample_member pads every sample with it.
+# Cached per height: sample_member pads every sample with it.
 @functools.lru_cache(maxsize=8)
 def identity_symbol(h: int) -> OwlSymbol:
     return representative_symbol(matrix.identity(h))
@@ -145,7 +145,6 @@ def full_symbol(h: int) -> OwlSymbol:
     return representative_symbol(matrix.all_ones(h))
 
 
-@functools.lru_cache(maxsize=8)
 def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
     """Every symbol of height h, in canonical order. Only sane for h <= 3."""
     matrix._check_h(h)
@@ -165,8 +164,8 @@ def all_symbols(h: int) -> tuple[OwlSymbol, ...]:
 # A connectivity fold's working set: the identity padding and the few
 # representatives a chain check has just sampled, so a repeated symbol keeps
 # its product memo across folds. 64 holds that with room to spare, and
-# bounds what a long run keeps alive; extension scans keep their
-# generators' matrices in exits._matrices. is_live never looks anything up.
+# bounds what a long run keeps alive; extension scans keep their generators'
+# matrices in their exits._Alphabet. is_live never looks anything up.
 @functools.lru_cache(maxsize=64)
 def symbol_matrix(a: OwlSymbol) -> BoolMatrix:
     """A one-symbol string's connectivity is its own edge relation."""

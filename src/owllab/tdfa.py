@@ -237,7 +237,7 @@ def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
     configuration repeated, i.e. the run loops. The trace holds every
     configuration if there are at most trace_limit of them, else it is None.
     """
-    budget = len(m.states) * len(tape) + 1 if tape else 1
+    budget = len(m.states) * len(tape) + 1
     trace = [(state, pos)] if trace_limit > 0 else None
     step = m.delta
     steps = 0
@@ -262,14 +262,11 @@ def _check_height(m: Tdfa, z: OwlString) -> None:
 
 
 def comp(m: Tdfa, p: str, j: int, z: OwlString) -> Computation:
-    """Deterministic run on bare z from state p at position j (1-based)."""
+    """Deterministic run on bare z from state p at position j (1-based); a
+    start at 0 or |z| + 1 is already off z and ends there in 0 steps."""
     _check_height(m, z)
     n = len(z)
-    if j == 0:
-        return Computation(HIT_LEFT, p, 0)
-    if j == n + 1:
-        return Computation(HIT_RIGHT, p, 0)
-    if not 1 <= j <= n:
+    if not 0 <= j <= n + 1:
         raise ValueError(f"start position {j} out of range for |z|={n}")
     return _simulate(m, z.symbols, p, j, 1, n)
 

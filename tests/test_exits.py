@@ -487,7 +487,11 @@ def test_extensions_of_length_zero_are_none():
 def test_alphabet_is_the_default_generators(h):
     alphabet = exits._alphabet(h)
     assert alphabet.symbols == default_generators(h)
+    want = tuple(owl.connectivity(OwlString(h, [g])) for g in alphabet.symbols)
+    assert alphabet.matrices == want
     assert alphabet is exits._alphabet(h)
+    if h == 3:
+        assert len(alphabet.matrices) == 512
 
 
 def test_alphabet_rows_index_generator_positions():
@@ -495,7 +499,7 @@ def test_alphabet_rows_index_generator_positions():
     gens = (full, ident, OwlSymbol(2, [(1, 2)]), ident)
     alphabet = exits._Alphabet.of(gens)
     assert alphabet.symbols == gens
-    assert exits._matrices(alphabet) == tuple(owl.connectivity(OwlString(2, [g])) for g in gens)
+    assert alphabet.matrices == tuple(owl.connectivity(OwlString(2, [g])) for g in gens)
     for k, pairs in enumerate(alphabet.rows):
         assert type(pairs) is tuple
         want = {}
@@ -508,23 +512,6 @@ def test_alphabet_rows_index_generator_positions():
         exits._Alphabet.of((ident, owl.identity_symbol(3)))
 
 
-def test_generator_matrices_wait_for_a_scan_longer_than_one_letter():
-    # One-letter scans read only the alphabet's rows, so the generators'
-    # matrices are built on the first longer scan, and once per alphabet.
-    exits._alphabet.cache_clear()
-    exits._matrices.cache_clear()
-    m = cli.load_machine("broken:3:2")
-    target = tuple(sequence.build_sequence(3))[3]
-    for side in (LR, RL):
-        exits.descend_generic(m, target, max_ext_len=1, side=side)
-    assert exits._matrices.cache_info().currsize == 0
-    for side in (LR, RL):
-        exits.descend_generic(m, target, max_ext_len=2, side=side)
-    info = exits._matrices.cache_info()
-    assert info.misses == 1 and info.currsize == 1 and info.hits >= 1
-    assert len(exits._matrices(exits._alphabet(3))) == 512
-
-
 def test_exit_chain_builds_the_alphabet_once():
     exits._alphabet.cache_clear()
     report = adversary.exit_chain(cli.load_machine("broken:4:2"), max_ext_len=1)
@@ -532,6 +519,17 @@ def test_exit_chain_builds_the_alphabet_once():
     assert info.misses == 1 and info.currsize == 1
     # Both sides at every chain step fetch the one h = 4 alphabet.
     assert info.hits + info.misses == 2 * len(report.certs)
+    # At h = 3 the one-letter chain and two-letter descents share one
+    # alphabet, whose 512 matrices come with it.
+    exits._alphabet.cache_clear()
+    m = cli.load_machine("broken:3:2")
+    report = adversary.exit_chain(m, max_ext_len=1)
+    target = tuple(sequence.build_sequence(3))[3]
+    for side in (LR, RL):
+        exits.descend_generic(m, target, max_ext_len=2, side=side)
+    info = exits._alphabet.cache_info()
+    assert info.misses == 1 and info.currsize == 1
+    assert info.hits + info.misses == 2 * len(report.certs) + 2
 
 
 @pytest.mark.parametrize(
