@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import exits, owl, sequence, tdfa
@@ -28,13 +28,21 @@ MAX_LISTED_LEN = 1000  # a counterexample's JSON lists no longer input in full
 
 @dataclass(frozen=True)
 class NotFound:
-    """Reasoned absence of a counterexample; expected for correct machines."""
+    """Reasoned absence of a counterexample; expected for correct machines.
+
+    `detail` holds (name, value) pairs sorted by name; one given as a dict
+    is stored so. A value that is itself a tuple of pairs (the fuzzer's
+    counts by length) is written as a JSON object."""
 
     reason: str
-    detail: dict = field(default_factory=dict)
+    detail: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "detail", tuple(sorted(dict(self.detail).items())))
 
     def to_json(self) -> dict:
-        return {"found": False, "reason": self.reason, "detail": self.detail}
+        detail = {k: dict(v) if isinstance(v, tuple) else v for k, v in self.detail}
+        return {"found": False, "reason": self.reason, "detail": detail}
 
 
 @dataclass(frozen=True)
@@ -289,7 +297,7 @@ def differential_fuzz(
             return cex
     detail = {
         "strings_checked": sum(by_length.values()),
-        "strings_checked_by_length": {str(n): by_length[n] for n in sorted(by_length)},
+        "strings_checked_by_length": tuple((str(n), by_length[n]) for n in sorted(by_length)),
     }
     return NotFound("no disagreement within budget", detail)
 

@@ -141,7 +141,7 @@ def cmd_exits(args) -> tuple[int, dict]:
         "exit_size": len(tm.exit_states),
         "outcomes": {
             q: {"outcome": c.outcome, "state": c.state, "steps": c.steps}
-            for q, c in sorted(tm.outcomes.items())
+            for q, c in tm.outcomes
         },
     }
 

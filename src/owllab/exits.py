@@ -33,23 +33,23 @@ def extend(y: OwlString, e: OwlString, side: str) -> OwlString:
 
 @dataclass(frozen=True)
 class TraversalMap:
-    """Per-state outcomes of left (LR) or right (RL) computations on a string."""
+    """Per-state outcomes of left (LR) or right (RL) computations on a
+    string, as (state, outcome) pairs sorted by state."""
 
     side: str
-    outcomes: dict[str, Computation]
+    outcomes: tuple[tuple[str, Computation], ...]
 
     @property
     def exit_states(self) -> frozenset[str]:
         want = _FAR_END[self.side]
-        return frozenset(c.state for c in self.outcomes.values() if c.outcome == want)
+        return frozenset(c.state for _, c in self.outcomes if c.outcome == want)
 
 
 def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
     if side not in _FAR_END:
         raise ValueError(f"bad side {side!r}")
     runner = tdfa.lcomp if side == LR else tdfa.rcomp
-    outcomes = {p: runner(m, p, y) for p in m.states}
-    return TraversalMap(side, outcomes)
+    return TraversalMap(side, tuple((p, runner(m, p, y)) for p in sorted(m.states)))
 
 
 def exit_size(m: Tdfa, y: OwlString, side: str) -> int:
@@ -58,17 +58,19 @@ def exit_size(m: Tdfa, y: OwlString, side: str) -> int:
 
 @dataclass(frozen=True)
 class PartialMap:
-    """Partially defined map on a finite state set."""
+    """Partially defined map on a finite state set. `mapping` holds only the
+    defined entries, as (state, state) pairs sorted by state; a mapping
+    given as a dict or in any order is stored so."""
 
     domain: frozenset[str]
-    mapping: dict[str, str]  # only the defined entries
+    mapping: tuple[tuple[str, str], ...]
 
-    def __call__(self, q: str) -> Optional[str]:
-        return self.mapping.get(q)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mapping", tuple(sorted(dict(self.mapping).items())))
 
     @property
     def image(self) -> frozenset[str]:
-        return frozenset(self.mapping.values())
+        return frozenset(v for _, v in self.mapping)
 
 
 def _continue(
@@ -146,7 +148,8 @@ def beta(m: Tdfa, z: OwlString, y: OwlString) -> PartialMap:
 
 def is_permutation(pm: PartialMap) -> bool:
     """Total on its domain, with image equal to the domain (so injective)."""
-    return {pm(q) for q in pm.domain} == pm.domain
+    mapping = dict(pm.mapping)
+    return {mapping.get(q) for q in pm.domain} == pm.domain
 
 
 def permutation_order(pm: PartialMap) -> int:
@@ -154,6 +157,7 @@ def permutation_order(pm: PartialMap) -> int:
     of its cycle lengths. The empty permutation has order 1."""
     if not is_permutation(pm):
         raise ValueError("map is not a permutation of its domain")
+    mapping = dict(pm.mapping)
     order = 1
     seen = set()
     for q in pm.domain:
@@ -163,7 +167,7 @@ def permutation_order(pm: PartialMap) -> int:
         cur = q
         while cur not in seen:
             seen.add(cur)
-            cur = pm(cur)
+            cur = mapping[cur]
             length += 1
         order = math.lcm(order, length)
     return order

@@ -158,8 +158,9 @@ def _trusted(h: int, rows: tuple[int, ...]) -> BoolMatrix:
     """A BoolMatrix whose rows are known to be ints that fit h: products and
     sums of valid matrices, and rows built here from a checked height and
     cells. Skips __post_init__'s validation, and fills the frozen fields in
-    one dict update rather than three object.__setattr__ calls: a fold over
-    random symbols builds one of these per step."""
+    one dict update rather than three object.__setattr__ calls: verify-seq
+    at h = 40..64 builds 36,164, most in `add`, `e_prime`, `outer` and
+    `from_cells`."""
     m = object.__new__(BoolMatrix)
     m.__dict__.update(h=h, rows=rows, _prod_rows=_RowMemo(rows))
     return m

@@ -107,7 +107,7 @@ class Tdfa:
         if not (isinstance(states, list) and all(isinstance(q, str) for q in states + names)):
             raise ValueError("machine states, start/accept/reject and rule entries must be strings")
         _check_h(h)
-        table = _Table({q: _parse_rules(h, q, entries) for q, entries in delta.items()})
+        table = _Table(MappingProxyType({q: _parse_rules(h, q, entries) for q, entries in delta.items()}))
         declared = set(states)
         errs = [f"delta has entries for undeclared state {q!r}" for q in sorted(table.keys() - declared)]
         for q in dict.fromkeys(states):
@@ -136,17 +136,19 @@ class Tdfa:
         return cls.from_json(obj, name=path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Table(Mapping):
     """A machine file's rules as a read-only transition function: state ->
-    {LEND, REND, "default" or a symbol: (state, direction)}, a state's rules
-    read as a `MappingProxyType`. A symbol's own rule wins over the state's
-    default; `from_json` has checked that every declared state has one."""
+    {LEND, REND, "default" or a symbol: (state, direction)}, both levels
+    held as `MappingProxyType`s, so the rules cannot change once built. A
+    symbol's own rule wins over the state's default; `from_json` has checked
+    that every declared state has one. Equality is `Mapping`'s, by items,
+    and the hash agrees with it."""
 
-    _rules: dict[str, dict]
+    _rules: Mapping[str, Mapping]
 
     def __getitem__(self, state: str) -> Mapping:
-        return MappingProxyType(self._rules[state])
+        return self._rules[state]
 
     def __iter__(self):
         return iter(self._rules)
@@ -154,18 +156,21 @@ class _Table(Mapping):
     def __len__(self) -> int:
         return len(self._rules)
 
+    def __hash__(self) -> int:
+        return hash(frozenset((q, frozenset(rules.items())) for q, rules in self._rules.items()))
+
     def __call__(self, state: str, sym: TapeSymbol) -> tuple[str, str]:
         rules = self._rules[state]
-        return rules.get(sym) or rules["default"]
+        return rules[sym] if sym in rules else rules["default"]
 
 
 def _invalid(name: str, errs: list[str]) -> ValueError:
     return ValueError(f"machine {name!r} is invalid: " + "; ".join(errs))
 
 
-def _parse_rules(h: int, state: str, rules: dict) -> dict:
+def _parse_rules(h: int, state: str, rules: dict) -> Mapping:
     """One state's rules as tuples, keyed by LEND, REND, "default" or the
-    symbol that a hex key names."""
+    symbol that a hex key names, in a read-only view."""
     parsed = {}
     for key, rule in rules.items():
         sym = key
@@ -177,7 +182,7 @@ def _parse_rules(h: int, state: str, rules: dict) -> dict:
             if sym in parsed:
                 raise ValueError(f"state {state!r}: key {key!r} names symbol {sym.to_hex()} twice")
         parsed[sym] = tuple(rule)
-    return parsed
+    return MappingProxyType(parsed)
 
 
 def _key_text(key: TapeSymbol) -> str:
@@ -230,18 +235,19 @@ def _violations(m: Tdfa) -> list[str]:
     return errs
 
 
-def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
-    """Run until the head leaves [lo, hi]; positions index `tape` 1-based.
+def _simulate(m, tape, state, pos, trace_limit=0):
+    """Run until the head leaves the tape; positions index `tape` 1-based.
 
     Exceeding the pigeonhole budget |Q| * len(tape) + 1 means some
     configuration repeated, i.e. the run loops. The trace holds every
     configuration if there are at most trace_limit of them, else it is None.
     """
-    budget = len(m.states) * len(tape) + 1
+    n = len(tape)
+    budget = len(m.states) * n + 1
     trace = [(state, pos)] if trace_limit > 0 else None
     step = m.delta
     steps = 0
-    while lo <= pos <= hi:
+    while 0 < pos <= n:
         if steps >= budget:
             return Computation(LOOP, None, steps, trace and tuple(trace))
         state, d = step(state, tape[pos - 1])
@@ -251,7 +257,7 @@ def _simulate(m, tape, state, pos, lo, hi, trace_limit=0):
             trace.append((state, pos))
             if len(trace) > trace_limit:
                 trace = None
-    outcome = HIT_LEFT if pos < lo else HIT_RIGHT
+    outcome = HIT_LEFT if pos < 1 else HIT_RIGHT
     return Computation(outcome, state, steps, trace and tuple(trace))
 
 
@@ -268,7 +274,7 @@ def comp(m: Tdfa, p: str, j: int, z: OwlString) -> Computation:
     n = len(z)
     if not 0 <= j <= n + 1:
         raise ValueError(f"start position {j} out of range for |z|={n}")
-    return _simulate(m, z.symbols, p, j, 1, n)
+    return _simulate(m, z.symbols, p, j)
 
 
 def lcomp(m: Tdfa, p: str, z: OwlString) -> Computation:
@@ -310,7 +316,7 @@ def run_on_tape(m: Tdfa, z: OwlString, trace_limit: int = 10**5) -> Computation:
     """Full run on LEND z REND from the start state; positions 1..|z|+2 on the tape."""
     _check_height(m, z)
     tape = (LEND,) + z.symbols + (REND,)
-    return _simulate(m, tape, m.start, 1, 1, len(tape), trace_limit)
+    return _simulate(m, tape, m.start, 1, trace_limit)
 
 
 def _truncate_mask(mask: int, cap: int) -> int:

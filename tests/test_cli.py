@@ -515,8 +515,10 @@ def test_machine_spec_over_the_state_budget_is_a_usage_error(capsys):
 # the chain identity suite (25538 checks) on the product kernel. The
 # two-way table machine moves left on some symbols and loops on some bare
 # tapes, so its chain pins non-empty RL exit sets and descents that adopt a
-# candidate because a continued run loops. Machine paths are relative to
-# the repository root, and a report echoes them.
+# candidate because a continued run loops. The last two pins cover a
+# NotFound each: a pump whose alpha is no permutation, and the fuzzer's
+# counts by length. Machine paths are relative to the repository root, and
+# a report echoes them.
 PINNED_REPORTS = [
     ("chain --machine subset:3 --max-ext-len 2", 0,
      "80de091f080a35a35bf887f594289f972c629a913908a2e78c1269a761545be1"),
@@ -530,6 +532,10 @@ PINNED_REPORTS = [
      "d12d8c10e69746235fe7ee770b2eb116ea14c7b8158be98072399d05770c473b"),
     ("chain --machine tests/twoway2_table.json --max-ext-len 2", 0,
      "9366f07739393ab25b14450574e944b4a4e56bfe155d8f88af3f789a734c1b97"),
+    ("pump --machine subset:3 --index 1", 0,
+     "8ddf043320f710aa576ac77e6ea3a4c7a1a6efc764bb83483cebe4671e7b2d4a"),
+    ("fuzz --machine subset:2 --max-len 2 --exhaustive", 0,
+     "c4215be1a38d93e3e0d888904ea3d6d98e2b83d0c7ba4cd31d3c8c9a4d60ead5"),
 ]
 
 
