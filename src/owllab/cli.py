@@ -4,7 +4,8 @@ Reports are one line of JSON (deterministic: sorted keys, seed echoed; pipe
 through `python -m json.tool` to indent). `--seed` and `--no-timing` may come
 before or after the subcommand. Exit codes: 0 when everything is consistent
 or nothing was found, 1 when a counterexample or verification failure was
-produced, 2 on usage or validation errors.
+produced, 2 on usage or validation errors; `main` returns each of them,
+argparse's included. Only this module opens files or parses JSON text.
 """
 
 from __future__ import annotations
@@ -54,19 +55,30 @@ def load_machine(spec: str) -> Tdfa:
         except ValueError as exc:
             raise ValueError(f"bad machine spec {spec!r}: {exc}")
     if os.path.exists(spec):
-        try:
-            return Tdfa.load(spec)
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"cannot load machine {spec!r}: {exc}")
+        return _read(spec, "machine", lambda text: Tdfa.from_json(_json(text), name=spec))
     raise ValueError(f"unknown machine {spec!r} (not a file or builtin name)")
 
 
 def load_string(path: str) -> OwlString:
+    return _read(path, "input string", lambda text: OwlString.from_json(_json(text)))
+
+
+def _read(path: str, what: str, parse):
+    """`parse` of the text of the file at `path`. Every file named on the
+    command line is read here: any OSError or ValueError, a bad encoding
+    included, becomes one `cannot load` usage error."""
     try:
         with open(path) as f:
-            return OwlString.loads(f.read())
+            return parse(f.read())
     except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot load input string {path!r}: {exc}")
+        raise ValueError(f"cannot load {what} {path!r}: {exc}")
+
+
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # json's parser recurses once per nesting level
+        raise ValueError("JSON is nested too deeply") from None
 
 
 def _report(args, command: str, result: dict, started: float) -> dict:
@@ -151,11 +163,7 @@ def _target_matrix(args, m: Tdfa) -> BoolMatrix:
         raise ValueError("supply exactly one of --conn, --matrix")
     if args.conn is not None:
         return _chain_matrix(m.h, args.conn, "--conn")
-    try:
-        with open(args.matrix) as f:
-            return BoolMatrix.from_text(f.read())
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot load matrix {args.matrix!r}: {exc}")
+    return _read(args.matrix, "matrix", BoolMatrix.from_text)
 
 
 def cmd_generic(args) -> tuple[int, dict]:
@@ -292,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage and 0 after --help
+        return exc.code
     started = time.monotonic()
     try:
         code, result = args.func(args)

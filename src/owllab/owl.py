@@ -9,7 +9,6 @@ product of the per-symbol edge matrices is nonzero.
 from __future__ import annotations
 
 import functools
-import json
 import string
 from dataclasses import dataclass
 from typing import Iterable
@@ -118,17 +117,6 @@ class OwlString:
             else:
                 raise ValueError(f"symbol {entry!r} is neither a hex mask nor a list of [i, j] edges")
         return cls(h, tuple(syms))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "OwlString":
-        try:
-            obj = json.loads(text)
-        except RecursionError:  # json's parser recurses once per nesting level
-            raise ValueError("string JSON is nested too deeply") from None
-        return cls.from_json(obj)
 
 
 # Cached per height: sample_member pads every sample with it.

@@ -9,7 +9,6 @@ detected exactly by a pigeonhole step budget.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from collections.abc import Mapping
@@ -125,15 +124,6 @@ class Tdfa:
         if errs:
             raise _invalid(name, errs)
         return cls(states, h, obj["start"], obj["accept"], obj["reject"], table, name)
-
-    @classmethod
-    def load(cls, path: str) -> "Tdfa":
-        with open(path) as f:
-            try:
-                obj = json.load(f)
-            except RecursionError:  # json's parser recurses once per nesting level
-                raise ValueError("machine JSON is nested too deeply") from None
-        return cls.from_json(obj, name=path)
 
 
 @dataclass(frozen=True, eq=False)

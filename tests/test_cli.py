@@ -22,7 +22,7 @@ def run_cli(capsys, *argv):
 
 def write_string(tmp_path, z, name="input.json"):
     path = tmp_path / name
-    path.write_text(z.dumps())
+    path.write_text(json.dumps(z.to_json()))
     return str(path)
 
 
@@ -324,11 +324,7 @@ def test_unknown_machine(capsys):
 )
 def test_machine_height_comes_from_the_name(capsys, argv):
     # accept_all:h is the one spelling; no option overrides a machine's height.
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects an unknown option this way
-        code = exc.code
-    assert code == 2
+    assert cli.main(argv) == 2  # argparse rejects an unknown option
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -386,6 +382,11 @@ def test_machine_file_breaking_the_endmarker_discipline_is_refused(capsys, tmp_p
     want = f"error: cannot load machine {str(mpath)!r}: machine {str(mpath)!r} is invalid: "
     assert err.splitlines() == [want + "delta('s1', LEND) moves left off the left endmarker"]
 
+# The file flags, the kind each names in its error, and the file faults the
+# test makes: a directory, a file of non-UTF-8 bytes, a path with no file.
+FILE_KINDS = {"--machine": "machine", "--input": "input string", "--matrix": "matrix"}
+FILE_FAULTS = ("folder", "bytes.json", "missing.json")
+
 MALFORMED_FILES = {
     "symbols_not_list.json": '{"h": 2, "symbols": 5}',
     "top_level_list.json": "[1, 2]",
@@ -406,7 +407,7 @@ MALFORMED_FILES = {
         **SUBSET2, "delta": {**SUBSET2["delta"], "ghost": {"default": ["nowhere", "X"]}},
     }),
     "state_twice.json": json.dumps({**SUBSET2, "states": SUBSET2["states"] + ["s1"]}),
-    "height3.json": OwlString(3, [full_symbol(3)]).dumps(),
+    "height3.json": json.dumps(OwlString(3, [full_symbol(3)]).to_json()),
     "hex_prefix.json": '{"h": 2, "symbols": ["0x3"]}',
     "hex_prefix_key.json": json.dumps({
         "h": 2, "states": ["go", "accept", "reject"], "start": "go",
@@ -454,21 +455,33 @@ MALFORMED_FILES = {
         "generic --machine subset:2 --conn 1_0",
         "pump --machine subset:2 --index \u0661",
         "--format pretty verify-seq --height 2",
+        "run --machine {dir}/folder --input {dir}/empty.json",
+        "run --machine {dir}/bytes.json --input {dir}/empty.json",
+        "run --machine subset:2 --input {dir}/folder",
+        "run --machine subset:2 --input {dir}/bytes.json",
+        "run --machine subset:2 --input {dir}/missing.json",
+        "generic --machine subset:2 --matrix {dir}/folder",
+        "generic --machine subset:2 --matrix {dir}/bytes.json",
+        "generic --machine subset:2 --matrix {dir}/missing.json",
     ],
 )
 def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv):
     for name, text in MALFORMED_FILES.items():
         (tmp_path / name).write_text(text)
     write_string(tmp_path, OwlString(2, ()), "empty.json")
-    try:
-        code = cli.main(argv.format(dir=tmp_path).split())
-    except SystemExit as exc:  # argparse rejects bad option values this way
-        code = exc.code
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+    args = argv.format(dir=tmp_path).split()
+    code = cli.main(args)
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
     assert "Traceback" not in err
+    for flag, value in zip(args, args[1:]):
+        if flag in FILE_KINDS and os.path.basename(value) in FILE_FAULTS:
+            assert errors[0].startswith(f"error: cannot load {FILE_KINDS[flag]} {value!r}: ")
 
 
 def test_negative_height_machine_spec_is_a_usage_error(capsys):
@@ -488,9 +501,7 @@ def test_machine_spec_parts_are_decimal_digits_only(capsys):
 
 def test_integer_flags_are_decimal_digits_only(capsys):
     # The rows above cover "1_0", "+5" and non-ASCII digits.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify-seq", "--height", " 2"])
-    assert exc.value.code == 2
+    assert cli.main(["verify-seq", "--height", " 2"]) == 2
     err = capsys.readouterr().err
     assert "argument --height: ' 2' is not a decimal integer" in err
     assert "Traceback" not in err
@@ -577,6 +588,20 @@ def test_global_flags_after_the_subcommand(capsys):
     assert blob["config"]["seed"] == 3 and "timing_s" not in blob
 
 
+def test_main_returns_argparse_exit_codes(capsys):
+    # main returns every exit code; argparse's SystemExit never gets out.
+    code, out, err = run_cli(capsys, "chain")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: owl chain ")
+    assert [ln for ln in lines if "error:" in ln] == [
+        "owl chain: error: the following arguments are required: --machine"
+    ]
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: owl ")
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     # main builds the parser once per process; what one parse sets, including
     # the subcommand's copies of the global flags, must not leak into the next.
@@ -586,9 +611,7 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["config"]["seed"] == 3 and "timing_s" not in blob
-    with pytest.raises(SystemExit) as exc:
-        cli.main(generic + ["--side", "up"])
-    assert exc.value.code == 2
+    assert cli.main(generic + ["--side", "up"]) == 2
     assert "invalid choice" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, *generic)
     assert code == 0

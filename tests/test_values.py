@@ -10,11 +10,11 @@ from collections.abc import Mapping
 
 import pytest
 
-from owllab import adversary, exits, matrix, owl, sequence, tdfa
+from owllab import adversary, cli, exits, matrix, owl, sequence, tdfa
 from owllab.exits import LR, RL
 from owllab.matrix import BoolMatrix
 from owllab.owl import OwlString, OwlSymbol
-from owllab.tdfa import Computation, Tdfa
+from owllab.tdfa import Computation
 
 TWOWAY2_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "twoway2_table.json")
 
@@ -29,7 +29,7 @@ def _values():
     product = matrix.multiply(c2, c3)  # fills both operands' memos
     y = owl.representative(c2) + OwlString(2, [OwlSymbol.from_hex(2, "9")])
     subset2 = tdfa.build_subset_solver(2)
-    twoway2 = Tdfa.load(TWOWAY2_TABLE)  # alpha and beta are both non-empty on y
+    twoway2 = cli.load_machine(TWOWAY2_TABLE)  # alpha and beta are both non-empty on y
     fuzz_notfound = adversary.differential_fuzz(subset2, max_len=2, exhaustive=True)
     return [
         ("BoolMatrix", product),
