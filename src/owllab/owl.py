@@ -270,8 +270,7 @@ def separation_context(
     x with connectivity c and u z v is live for z with connectivity c_other;
     swapped=True means the roles of the two matrices are exchanged.
     """
-    if c.h != c_other.h:
-        raise ValueError("dimension mismatch")
+    matrix._require_same_h(c, c_other)
     h = c.h
     for i in range(1, h + 1):
         diff = c.rows[i - 1] ^ c_other.rows[i - 1]
@@ -289,10 +288,9 @@ def suffix_of_choice_witness(c_prev: BoolMatrix, c_next: BoolMatrix) -> OwlSymbo
     x in either property and every v in the property of c_prev.
 
     Valid only when c_next absorbs c_prev on both sides and is idempotent,
-    which holds along the connectivity chain; rejected otherwise.
+    which holds along the connectivity chain; rejected otherwise, as are
+    operands of two heights, by the first product.
     """
-    if c_prev.h != c_next.h:
-        raise ValueError("dimension mismatch")
     if matrix.multiply(c_next, c_prev) != c_next:
         raise ValueError("c_next * c_prev != c_next; witness invalid")
     if matrix.multiply(c_prev, c_next) != c_next:

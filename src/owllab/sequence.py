@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import matrix, owl
 from .matrix import BoolMatrix, mat_vec, outer, vec_mat
@@ -112,24 +112,18 @@ def build_sequence(h: int):
     yield matrix.zero(h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceReport:
-    """Outcome of the identity and contract checks over a whole chain."""
+    """Outcome of the identity and contract checks over a whole chain: how
+    many ran and the label of each that failed, built once by verify_sequence."""
 
     h: int
-    checks_run: int = 0
-    failures: list[str] = field(default_factory=list)
+    checks_run: int
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def _check(self, cond: bool, fmt: str, *args) -> None:
-        """Count a check; the failure label is only formatted on failure,
-        since this runs hundreds of thousands of times."""
-        self.checks_run += 1
-        if not cond:
-            self.failures.append(fmt % args if args else fmt)
 
     def to_json(self) -> dict:
         return {
@@ -154,7 +148,7 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
     """
     matrix._check_h(h)
     u, n = num_upper(h), chain_length(h)
-    rep = SequenceReport(h)
+    checks_run, failures = 0, []
     rng = random.Random(seed)
     zero_rows = (0,) * h
     # Oracle sampling is O(h^2) strings; thin out the t range for large h
@@ -162,7 +156,14 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
     oracle_stride = max(1, n // 64) if oracle_samples else 0
     # Each product is compared as its row tuple; no matrix is built for it.
     prod = matrix._product_rows
-    check = rep._check
+
+    def check(cond: bool, fmt: str, *args) -> None:
+        """Count a check; its label is formatted only on failure, as this is hot."""
+        nonlocal checks_run
+        checks_run += 1
+        if not cond:
+            failures.append(fmt % args if args else fmt)
+
     # Every check reads only C_{t-1} and C_t, so the chain is streamed: a
     # matrix and the product memo its checks fill are dropped two steps on.
     ct = None
@@ -199,11 +200,11 @@ def verify_sequence(h: int, oracle_samples: int = 3, seed: int = 0) -> SequenceR
             check(mat_vec(prev, one) == one, "C_%d*ones != ones (h=%d)", t - 1, h)
             check(vec_mat(r_j, prev) == r_j, "r_%dC_%d != r_%d (h=%d)", j, t - 1, j, h)
         if oracle_stride and (t % oracle_stride == 0 or t == n):
-            _check_contracts(rep, prev, ct, t, h, rng, oracle_samples)
-    return rep
+            _check_contracts(check, prev, ct, t, h, rng, oracle_samples)
+    return SequenceReport(h, checks_run, tuple(failures))
 
 
-def _check_contracts(rep, prev, ct, t, h, rng, samples) -> None:
+def _check_contracts(check, prev, ct, t, h, rng, samples) -> None:
     """Sampled separation-context and forcing-suffix contracts for one step."""
     u, v, swapped = owl.separation_context(prev, ct)
     suffix = owl.suffix_of_choice_witness(prev, ct)
@@ -214,11 +215,9 @@ def _check_contracts(rep, prev, ct, t, h, rng, samples) -> None:
         z = owl.sample_member(ct, rng)
         live_x = owl.is_live(ustr + x + vstr)
         live_z = owl.is_live(ustr + z + vstr)
-        rep._check(live_x != live_z, f"separation XOR fails at t={t} (h={h})")
-        rep._check(live_z != swapped, f"separation orientation wrong at t={t} (h={h})")
+        check(live_x != live_z, "separation XOR fails at t=%d (h=%d)", t, h)
+        check(live_z != swapped, "separation orientation wrong at t=%d (h=%d)", t, h)
         w = rng.choice([x, z])
         vv = owl.sample_member(prev, rng)
         forced = w + owl.OwlString(h, [suffix]) + vv
-        rep._check(
-            owl.connectivity(forced) == ct, f"forcing suffix fails at t={t} (h={h})"
-        )
+        check(owl.connectivity(forced) == ct, "forcing suffix fails at t=%d (h=%d)", t, h)

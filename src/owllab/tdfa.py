@@ -116,11 +116,7 @@ class Tdfa:
                 continue
             if "default" not in entries:
                 errs.append(f"state {q!r} has no default rule")
-            for key, (nq, d) in entries.items():
-                if nq not in declared:
-                    errs.append(f"delta({q!r}, {_key_text(key)}) targets unknown state {nq!r}")
-                elif d not in ("L", "R"):
-                    errs.append(f"delta({q!r}, {_key_text(key)}) has bad direction {d!r}")
+            errs += filter(None, (_move_fault(q, _key_text(k), v, declared) for k, v in entries.items()))
         if errs:
             raise _invalid(name, errs)
         return cls(states, h, obj["start"], obj["accept"], obj["reject"], table, name)
@@ -180,6 +176,17 @@ def _key_text(key: TapeSymbol) -> str:
     return key if isinstance(key, str) else key.to_hex()
 
 
+def _move_fault(q: str, key: str, move, declared) -> Optional[str]:
+    """Why delta(q, key) = move is not a (declared state, "L"/"R") pair, or None."""
+    if not (isinstance(move, tuple) and len(move) == 2):
+        return f"delta({q!r}, {key}) is not a (state, direction) pair"
+    if move[0] not in declared:
+        return f"delta({q!r}, {key}) targets unknown state {move[0]!r}"
+    if move[1] not in ("L", "R"):
+        return f"delta({q!r}, {key}) has bad direction {move[1]!r}"
+    return None
+
+
 def _violations(m: Tdfa) -> list[str]:
     """What makes m invalid (see `Tdfa`); empty when it is valid. delta is
     called on both endmarkers and on the empty, identity and full symbols
@@ -195,17 +202,13 @@ def _violations(m: Tdfa) -> list[str]:
     def result(q, symname, sym):
         try:
             res = m.delta(q, sym)
-            if not (isinstance(res, tuple) and len(res) == 2):
-                errs.append(f"delta({q!r}, {symname}) is not a (state, direction) pair")
-            elif res[0] not in declared:
-                errs.append(f"delta({q!r}, {symname}) targets unknown state {res[0]!r}")
-            elif res[1] not in ("L", "R"):
-                errs.append(f"delta({q!r}, {symname}) has bad direction {res[1]!r}")
-            else:
-                return res
+            fault = _move_fault(q, symname, res, declared)
         except Exception as exc:  # a delta that raises, or an unhashable target
-            errs.append(f"delta({q!r}, {symname}) failed: {exc}")
-        return None
+            fault = f"delta({q!r}, {symname}) failed: {exc}"
+        if fault:
+            errs.append(fault)
+            return None
+        return res
 
     for q in m.states:
         res = result(q, LEND, LEND)
@@ -313,8 +316,6 @@ def _truncate_mask(mask: int, cap: int) -> int:
     """Keep only the cap lowest set bits."""
     out = 0
     for _ in range(cap):
-        if not mask:
-            break
         low = mask & -mask
         out |= low
         mask ^= low

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -278,6 +279,8 @@ def test_separation_context_liveness_xor():
 def test_separation_context_equal_matrices_rejected():
     with pytest.raises(ValueError):
         separation_context(matrix.identity(2), matrix.identity(2))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        separation_context(matrix.identity(2), matrix.identity(3))
 
 
 def test_suffix_of_choice_on_chain_pair():
@@ -299,8 +302,14 @@ def test_suffix_of_choice_rejects_bad_pairs():
     with pytest.raises(ValueError):
         # identity does not absorb all-ones
         suffix_of_choice_witness(matrix.all_ones(2), matrix.identity(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
         suffix_of_choice_witness(matrix.identity(2), matrix.identity(3))
+    for prev, nxt, want in [
+        ("00\n01\n", "01\n00\n", "c_prev * c_next != c_next"),
+        ("10\n01\n", "00\n10\n", "c_next is not idempotent"),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{re.escape(want)}; witness invalid$"):
+            suffix_of_choice_witness(BoolMatrix.from_text(prev), BoolMatrix.from_text(nxt))
 
 
 def test_json_is_stable():

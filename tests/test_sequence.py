@@ -175,11 +175,9 @@ def test_verify_sequence_is_deterministic():
 
 
 def test_report_records_failures():
-    rep = SequenceReport(2)
-    rep._check(True, "fine")
-    rep._check(False, "broken")
+    rep = SequenceReport(2, 2, ("broken",))
     assert not rep.ok
-    assert rep.failures == ["broken"]
+    assert rep.failures == ("broken",)
     assert rep.checks_run == 2
     blob = rep.to_json()
     assert blob["ok"] is False

@@ -205,6 +205,21 @@ def test_validate_catches_bad_targets_and_directions():
     rules = {"s": {LEND: ("s", "R"), REND: (ACCEPT, "R"), "1": ("s", "X"), "default": ("ghost", "R")}}
     want = "delta('s', 1) has bad direction 'X'; delta('s', default) targets unknown state 'ghost'"
     assert refusal(lambda: Tdfa.from_json(table_json({**rules, **HALTING_RULES}))) == want
+    # The constructor's probes judge a programmatic delta's moves the same way.
+    for move, fault in [
+        (("s",), "is not a (state, direction) pair"),
+        (("ghost", "R"), "targets unknown state 'ghost'"),
+        (("s", "X"), "has bad direction 'X'"),
+    ]:
+        def delta(q, sym, move=move):
+            if sym == LEND:
+                return q, "R"
+            if sym == REND:
+                return ACCEPT, "R"
+            return move if q == "s" else (q, "R")
+
+        want = "; ".join(f"delta('s', {x}) {fault}" for x in "01")
+        assert refusal(lambda: Tdfa(["s", ACCEPT, REJECT], 1, "s", ACCEPT, REJECT, delta)) == want
 
 
 def test_comp_boundary_positions():

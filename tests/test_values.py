@@ -46,6 +46,7 @@ def _values():
         ("ExitChainReport", adversary.exit_chain(tdfa.build_broken_solver(2, 1))),
         ("NotFound pump", adversary.pump(subset2, 1)),
         ("NotFound fuzz", fuzz_notfound),
+        ("SequenceReport", sequence.verify_sequence(3)),
     ]
 
 
