@@ -21,14 +21,18 @@ from .tdfa import Computation, Tdfa
 LR = "LR"
 RL = "RL"
 
-# The outcome that leaves a string on its far end: an LR computation enters
-# on the left and exits right, an RL computation the reverse.
-_FAR_END = {LR: tdfa.HIT_RIGHT, RL: tdfa.HIT_LEFT}
+
+def _far_right(side: str) -> bool:
+    """Whether side's far end is the right one: an LR computation enters on
+    the left and exits right, RL the reverse. Any other side is refused."""
+    if side not in (LR, RL):
+        raise ValueError(f"bad side {side!r}")
+    return side == LR
 
 
 def extend(y: OwlString, e: OwlString, side: str) -> OwlString:
     """y extended by e on its far end: y + e for LR, e + y for RL."""
-    return y + e if side == LR else e + y
+    return y + e if _far_right(side) else e + y
 
 
 @dataclass(frozen=True)
@@ -41,14 +45,12 @@ class TraversalMap:
 
     @property
     def exit_states(self) -> frozenset[str]:
-        want = _FAR_END[self.side]
+        want = tdfa.HIT_RIGHT if _far_right(self.side) else tdfa.HIT_LEFT
         return frozenset(c.state for _, c in self.outcomes if c.outcome == want)
 
 
 def traversal_map(m: Tdfa, y: OwlString, side: str) -> TraversalMap:
-    if side not in _FAR_END:
-        raise ValueError(f"bad side {side!r}")
-    runner = tdfa.lcomp if side == LR else tdfa.rcomp
+    runner = tdfa.lcomp if _far_right(side) else tdfa.rcomp
     return TraversalMap(side, tuple((p, runner(m, p, y)) for p in sorted(m.states)))
 
 
@@ -97,7 +99,7 @@ def _continue(
     over `m.delta`: most take one step, and a call per run (to
     `tdfa._simulate`, the tests' reference) would cost more than the step.
     """
-    far_right = side == LR
+    far_right = _far_right(side)
     step = m.delta
     per_cell = len(m.states)
     for e in words:
@@ -363,15 +365,16 @@ def descend_generic(
     y = start if start is not None else owl.representative(target)
     if owl.connectivity(y) != target:
         raise ValueError("start string is not in the target property")
-    # The exit set of y + e is y's exit set continued across e, so each
-    # candidate runs only those states, from the seam, on a bare symbol tape;
-    # only an adopted candidate becomes a string.
-    exit_states = sorted(traversal_map(m, y, side).exit_states)  # checks y's height
+    # y's exit set is the image of every state run over y alone, and y + e's
+    # is y's continued across e from the seam, on a bare symbol tape; only an
+    # adopted candidate becomes a string.
+    _, over_y = _continue(m, m.states, (), (y.symbols,), side, len(m.states) + 1)
+    exit_states = sorted(set(over_y.values()))
     history = [len(exit_states)]
     # y stays in the property, so an extension e keeps it there exactly when
     # target * C(e) == target (LR) or C(e) * target == target (RL).
     ident = matrix.identity(h)
-    left, right = (target, ident) if side == LR else (ident, target)
+    left, right = (target, ident) if _far_right(side) else (ident, target)
     while exit_states:
         words = _extensions(alphabet, max_ext_len, left, right, target)
         found = _continue(m, exit_states, y.symbols, words, side, len(exit_states))

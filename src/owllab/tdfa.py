@@ -35,7 +35,7 @@ REJECT = "reject"
 class Computation(NamedTuple):
     """Result of running a machine on a bare string from a given configuration.
     A named tuple: immutable, and cheaper to build than a frozen dataclass,
-    which matters because exit analysis builds one per state per string."""
+    which matters because `traversal_map` and `decide` build one per run."""
 
     outcome: str  # HIT_LEFT | HIT_RIGHT | LOOP
     state: Optional[str]  # exit state; None when looping
@@ -326,19 +326,15 @@ def _truncate_mask(mask: int, cap: int) -> int:
 # sets plus accept and reject.
 _MAX_SUBSET_STATES = (1 << 12) + 2
 
-# The highest h whose subset-like machines get a move table: its 2^h
-# entries are the exact solver's own state count at this bound.
-_MOVE_TABLE_MAX_H = 12
-
 
 def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     """States `s<mask>` for every node set of at most cap nodes, by mask
     value, plus accept and reject. The names, and each state's nodes as row
     indices, are built once; a step ORs the symbol's rows at those indices
-    and looks the image's move up. Up to h = 12 the moves are one tuple,
-    indexed by the image mask, of each image's move already truncated to
-    its cap lowest nodes; above that an image that has more than cap nodes,
-    and so names no state, is truncated at each step."""
+    and looks the image's move up. While its 2^h entries fit the state
+    budget (h <= 12), the moves are one tuple, indexed by the image mask, of
+    each image's move truncated to its cap lowest nodes; above that an image
+    with more than cap nodes, naming no state, is truncated at each step."""
     _check_h(h)  # before the shift and math.comb below, which a negative h would break
     size = sum(math.comb(h, n) for n in range(cap + 1)) + 2
     if size > _MAX_SUBSET_STATES:
@@ -352,7 +348,7 @@ def _subset_like(h: int, cap: int, name: str) -> Tdfa:
     start = name_of[_truncate_mask(full, cap)]
     empty_set = name_of[0]
     moves = None
-    if h <= _MOVE_TABLE_MAX_H:
+    if full < _MAX_SUBSET_STATES:
         moves = tuple((name_of.get(out) or name_of[_truncate_mask(out, cap)], "R") for out in range(full + 1))
 
     def delta(q: str, sym) -> tuple[str, str]:

@@ -80,6 +80,24 @@ def test_pump_respects_size_cap(monkeypatch):
     assert "cap" in dict(res.detail)
 
 
+def test_pump_refuses_inputs_decided_differently(monkeypatch):
+    # accept_all decides the short and the pumped input alike; were the
+    # second decision, on the pumped input, to differ, pump finds nothing.
+    decide, inputs = tdfa.decide, []
+
+    def second_rejects(m, z):
+        inputs.append(z)
+        return tdfa.REJECT if len(inputs) == 2 else decide(m, z)
+
+    monkeypatch.setattr(tdfa, "decide", second_rejects)
+    res = pump(tdfa.build_accept_all(2), 1)
+    assert res == NotFound(
+        "machine decides the two inputs differently",
+        {"pumped": "reject", "short": "accept", "t": 1, "t_star": 1},
+    )
+    assert len(inputs) == 2 and len(inputs[0]) < len(inputs[1])
+
+
 def test_exit_chain_sizes_match_its_json():
     rep = exit_chain(tdfa.build_broken_solver(3, 2))
     blob = rep.to_json()

@@ -67,6 +67,16 @@ def test_traversal_map_bad_side():
     m = tdfa.build_accept_all(2)
     with pytest.raises(ValueError):
         traversal_map(m, OwlString(2, ()), "UD")
+    # Every reader of a side refuses one that is neither LR nor RL.
+    y = owl.representative(matrix.identity(2))
+    for refused in (
+        lambda: traversal_map(m, y, "XY"),
+        lambda: exits.TraversalMap("XY", ()).exit_states,
+        lambda: exits.extend(y, y, "XY"),
+        lambda: descend_generic(m, matrix.identity(2), side="XY"),
+    ):
+        with pytest.raises(ValueError, match="bad side 'XY'"):
+            refused()
 
 
 def test_exit_monotonicity_random():
@@ -348,6 +358,20 @@ def test_descend_generic_start_must_be_in_property():
     target = tuple(sequence.build_sequence(2))[1]
     with pytest.raises(ValueError, match="not in the target property"):
         descend_generic(m, target, start=OwlString(2, ()))
+
+
+@pytest.mark.parametrize(
+    "spec, lr, rl",
+    [("subset:2", (6, 4), (6, 0)), ("broken:3:2", (9, 7), (9, 0)), ("accept_all:2", (3, 1), (3, 0))],
+)
+def test_descend_generic_from_the_empty_string(spec, lr, rl):
+    # Every run on an empty tape leaves it at once on its far end, so the
+    # empty start's exit set is every state, on either side.
+    m = cli.load_machine(spec)
+    for side, history in ((LR, lr), (RL, rl)):
+        cert = descend_generic(m, matrix.identity(m.h), side=side, start=OwlString(m.h, ()))
+        assert cert.size_history == history
+        assert history[0] == len(m.states) == exit_size(m, OwlString(m.h, ()), side)
 
 
 def test_descend_generic_refuses_a_start_of_another_height():
